@@ -8,13 +8,12 @@ the enumeration is deterministic and independent of the worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .clifford import DIM_S, DIM_V, MINUS, PLUS, MU_INT
+from .clifford import MINUS, PLUS, MU_INT
 from .fields import PrimeField, get_ext_field
 from .linalg import Subspace
 from .scan import ext_zero_locus, num_projective_points, zero_locus
-from .sections import SectionK, perp_in_plus
+from .sections import perp_in_plus
 from .variety import restrict_quadric
 
 DEFAULT_COUNT_BUDGET = 1 << 26
@@ -89,19 +88,14 @@ def count_section_points(
     if m == 1:
         count, _ = zero_locus(forms, q, d, workers=workers)
         return count
-    ext = get_ext_field(q, m)
-    count, _ = ext_zero_locus(forms, ext, d)
+    count, _ = ext_zero_locus(forms, get_ext_field(q, m), d, workers=workers)
     return count
 
 
-@lru_cache(maxsize=None)
 def quadric_count(q: int) -> int:
-    """#Q(F_q) for the 8-dimensional quadric Q = {q_V = 0} in P^9, enumerated."""
-    coeff = [[0] * DIM_V for _ in range(DIM_V)]
-    for i in range(5):
-        coeff[i][5 + i] = 1
-    count, _ = zero_locus([coeff], q, DIM_V)
-    return count
+    """#Q(F_q) for the 8-dimensional quadric Q = {q_V = 0} in P^9: q_V is
+    the split (hyperbolic) form sum e_i f_i, so #Q = #P^8 + q^4."""
+    return projective_count(q, 8) + q**4
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Vectorized point scans over prime fields.
+"""Exact vectorized point scans over F_q and F_{p^m}.
 
 Enumeration order is the lexicographic order of normalized projective
 representatives (first nonzero coordinate = 1), realized as contiguous
@@ -8,81 +8,157 @@ in block order, so output is independent of the worker count.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_CHUNK = 1 << 16
+BLOCK = 1 << 16
 
 
 def num_projective_points(q: int, d: int) -> int:
     return (q**d - 1) // (q - 1)
 
 
-def projective_blocks(q: int, d: int, chunk: int = DEFAULT_CHUNK):
-    """Yield (n, d) float32 arrays of normalized representatives, in order."""
+def projective_blocks(q: int, d: int, dtype=np.int64):
+    """Yield (n, d) arrays of normalized representatives over the codes
+    0..q-1, in order."""
     for lead in range(d - 1, -1, -1):
         r = d - lead - 1
         total = q**r
-        for start in range(0, total, chunk):
-            n = min(chunk, total - start)
-            idx = np.arange(start, start + n, dtype=np.int64)
-            block = np.zeros((n, d), dtype=np.float32)
-            block[:, lead] = 1.0
+        for start in range(0, total, BLOCK):
+            idx = np.arange(start, min(start + BLOCK, total), dtype=np.int64)
+            block = np.zeros((len(idx), d), dtype=dtype)
+            block[:, lead] = 1
             for t in range(r):
-                power = q ** (r - 1 - t)
-                block[:, lead + 1 + t] = (idx // power) % q
+                block[:, lead + 1 + t] = (idx // q ** (r - 1 - t)) % q
             yield block
 
 
-def find_first_zero(forms, q: int, d: int, chunk: int = DEFAULT_CHUNK):
+# Kept under its old name: extension scans enumerate the same index vectors.
+ext_projective_blocks = projective_blocks
+
+
+def _in_block_order(blocks, fn, workers):
+    """fn over the blocks, results in block order.  At most workers + 1
+    blocks are in flight, which bounds memory and lets a first-hit scan
+    stop soon after its hit."""
+    if workers <= 1:
+        yield from map(fn, blocks)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        pending = deque()
+        for block in blocks:
+            pending.append(ex.submit(fn, block))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _scan(q, d, dtype, forms, values, mode, workers):
+    """Filter P^{d-1}(F_q) through the forms; `values(x, form)` gives the
+    form's values on the rows of x as field codes.
+
+    mode "count" returns (count, []); "collect" (count, points); "first"
+    (1, [first point]) or (0, []).
+    """
+
+    def survivors(block):
+        x = block
+        for form in forms:
+            if not len(x):
+                break
+            x = x[values(x, form) == 0]
+        return x
+
+    count, points = 0, []
+    for x in _in_block_order(projective_blocks(q, d, dtype), survivors, workers):
+        if mode == "first" and len(x):
+            return 1, [tuple(int(v) for v in x[0])]
+        count += len(x)
+        if mode == "collect":
+            points.extend(tuple(int(v) for v in row) for row in x)
+    return count, points
+
+
+def _exact_dtype(q: int, d: int):
+    """The float dtype in which every partial sum of x^T c x is an exact
+    integer: entries of x and c are < q, so the sum is at most d^2 (q-1)^3."""
+    bound = d * d * (q - 1) ** 3
+    if bound < 1 << 24:
+        return np.float32
+    if bound < 1 << 53:
+        return np.float64
+    raise ValueError(f"q = {q}, d = {d}: form values exceed exact float64 range")
+
+
+def _prime_scan(forms, q, d, mode, workers=1):
+    dtype = _exact_dtype(q, d)
+    mats = [(np.asarray(c, dtype=np.int64) % q).astype(dtype) for c in forms]
+    return _scan(
+        q, d, dtype, mats, lambda x, c: np.mod(np.sum((x @ c) * x, axis=1), q), mode, workers
+    )
+
+
+def zero_locus(forms, q: int, d: int, *, collect: bool = False, workers: int = 1):
+    """Count (and optionally collect) projective F_q-points where all the
+    quadratic forms vanish.  `forms` are (d, d) integer coefficient arrays.
+    """
+    count, points = _prime_scan(forms, q, d, "collect" if collect else "count", workers)
+    return count, points if collect else None
+
+
+def find_first_zero(forms, q: int, d: int):
     """First projective F_q-point (enumeration order) where all forms vanish."""
-    mats = [np.asarray(c, dtype=np.int64) % q for c in forms]
-    mats = [m.astype(np.float32) for m in mats]
-    for block in projective_blocks(q, d, chunk):
-        x = _filter_block(block, mats, q)
-        if len(x):
-            return tuple(int(v) for v in x[0])
-    return None
+    _, points = _prime_scan(forms, q, d, "first")
+    return points[0] if points else None
 
 
 class ExtTables:
-    """Numpy arithmetic tables for F_{p^m} element indices (see fields.ExtField)."""
+    """Numpy log/exp tables for F_{p^m} element codes (see fields.ExtField).
+
+    Zero gets the log `zero` = 3(q-1), so a sum of three logs indexes `exp`
+    at the product when no factor is zero, and at a 0 entry otherwise.
+    """
 
     def __init__(self, ext):
-        self.ext = ext
         q = ext.q
-        self.q = q
-        self.p = ext.p
-        log = np.full(q, 2 * (q - 1), dtype=np.int64)
-        for code, e in ((c, i) for i, c in enumerate(ext.exp_table)):
-            log[code] = e
-        exp2 = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
-        for i in range(2 * (q - 1) - 1):
-            exp2[i] = ext.exp_table[i % (q - 1)]
-        self.log = log
-        self.exp2 = exp2
+        self.ext = ext
+        self.zero = 3 * (q - 1)
+        self.log = np.full(q, self.zero, dtype=np.int64)
+        self.log[np.asarray(ext.exp_table, dtype=np.int64)] = np.arange(q - 1)
+        self.exp = np.zeros(2 * self.zero + q, dtype=np.int64)
+        self.exp[: self.zero] = np.tile(np.asarray(ext.exp_table, dtype=np.int64), 3)
 
     def add(self, a, b):
-        if self.p == 2:
+        p = self.ext.p
+        if p == 2:
             return a ^ b
         # digitwise base-p addition (memory-light for large q)
-        out = np.zeros_like(np.broadcast_arrays(a, b)[0])
+        out = np.zeros_like(a)
         for t in range(self.ext.m):
-            pw = self.p**t
-            out += (((a // pw) + (b // pw)) % self.p) * pw
+            pw = p**t
+            out += (((a // pw) + (b // pw)) % p) * pw
         return out
 
-    def mul(self, a, b):
-        return self.exp2[self.log[a] + self.log[b]]
+    def compile(self, form):
+        """(i, j, log c_ij) for the nonzero prime-subfield coefficients."""
+        d = len(form)
+        return [
+            (i, j, int(self.ext.log_table[int(form[i][j])]))
+            for i in range(d)
+            for j in range(i, d)
+            if int(form[i][j])
+        ]
 
-    def mul_const(self, a, c):
-        if c == 1:
-            return a
-        return self.exp2[self.log[a] + int(self.ext.log_table[c])]
-
-
-from functools import lru_cache
+    def values(self, x, terms):
+        lx = self.log[x.T]
+        acc = np.zeros(len(x), dtype=np.int64)
+        for i, j, lc in terms:
+            acc = self.add(acc, self.exp[lx[i] + lx[j] + lc])
+        return acc
 
 
 @lru_cache(maxsize=None)
@@ -90,96 +166,14 @@ def _tables_for(ext):
     return ExtTables(ext)
 
 
-def ext_projective_blocks(q: int, d: int, chunk: int = DEFAULT_CHUNK):
-    """Normalized representatives over a field of q element *indices*."""
-    for lead in range(d - 1, -1, -1):
-        r = d - lead - 1
-        total = q**r
-        for start in range(0, total, chunk):
-            n = min(chunk, total - start)
-            idx = np.arange(start, start + n, dtype=np.int64)
-            block = np.zeros((n, d), dtype=np.int64)
-            block[:, lead] = 1
-            for t in range(r):
-                power = q ** (r - 1 - t)
-                block[:, lead + 1 + t] = (idx // power) % q
-            yield block
-
-
-def ext_zero_locus(forms, ext, d: int, *, collect_limit: int = 0, find_first: bool = False, chunk: int = DEFAULT_CHUNK):
+def ext_zero_locus(forms, ext, d: int, *, find_first: bool = False, workers: int = 1):
     """Scan P^{d-1}(F_{p^m}) for common zeros of quadratic forms.
 
     `forms` are (d, d) upper-triangular coefficient matrices with entries in
-    the prime subfield (ints in [0, p)).  Returns (count, points) where
-    points holds at most collect_limit index-vectors (or the first hit when
-    find_first).
+    the prime subfield (ints in [0, p)).  Returns (count, []), or with
+    find_first (1, [first hit]) or (0, []); points are index-vectors.
     """
     tables = _tables_for(ext)
-    count = 0
-    points = []
-    for block in ext_projective_blocks(ext.q, d, chunk):
-        x = block
-        for c in forms:
-            if not len(x):
-                break
-            acc = np.zeros(len(x), dtype=np.int64)
-            for i in range(d):
-                for j in range(i, d):
-                    cij = int(c[i][j])
-                    if cij:
-                        term = tables.mul(x[:, i], x[:, j])
-                        term = tables.mul_const(term, cij)
-                        acc = tables.add(acc, term)
-            x = x[acc == 0]
-        count += len(x)
-        if len(x) and (find_first or len(points) < collect_limit):
-            for row in x:
-                points.append(tuple(int(v) for v in row))
-                if find_first or len(points) >= collect_limit:
-                    break
-        if find_first and points:
-            return count, points
-    return count, points
-
-
-def _filter_block(block, forms, q):
-    x = block
-    for c in forms:
-        if not len(x):
-            break
-        vals = np.mod(np.sum((x @ c) * x, axis=1), q)
-        x = x[vals == 0.0]
-    return x
-
-
-def zero_locus(
-    forms,
-    q: int,
-    d: int,
-    *,
-    collect: bool = False,
-    chunk: int = DEFAULT_CHUNK,
-    workers: int = 1,
-):
-    """Count (and optionally collect) projective F_q-points where all the
-    quadratic forms vanish.  `forms` are (d, d) integer coefficient arrays.
-    """
-    mats = [np.asarray(c, dtype=np.int64) % q for c in forms]
-    mats = [m.astype(np.float32) for m in mats]
-    count = 0
-    points = [] if collect else None
-    blocks = projective_blocks(q, d, chunk)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = ex.map(lambda b: _filter_block(b, mats, q), blocks)
-            for x in results:
-                count += len(x)
-                if collect:
-                    points.extend(tuple(int(v) for v in row) for row in x)
-    else:
-        for block in blocks:
-            x = _filter_block(block, mats, q)
-            count += len(x)
-            if collect:
-                points.extend(tuple(int(v) for v in row) for row in x)
-    return count, points
+    terms = [tables.compile(c) for c in forms]
+    mode = "first" if find_first else "count"
+    return _scan(ext.q, d, np.int64, terms, tables.values, mode, workers)

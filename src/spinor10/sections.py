@@ -5,18 +5,20 @@ special / very special / generic sections.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .clifford import DIM_S, DIM_V, MINUS, PLUS, bV, pairing, qV
-from .fields import ExtField, Field, PrimeField, QQ, RationalField, get_ext_field
-from .gamma import PureSpinorError, coords_in, gamma, polarize_mu, rho, rho_form
+from .fields import Field, PrimeField, RationalField, get_ext_field
+from .gamma import coords_in, gamma, rho, rho_form
 from .linalg import Subspace, SymBilinearForm, kernel_basis, mat, mat_vec, transpose
 from .scan import ext_zero_locus, find_first_zero, num_projective_points
 from .variety import (
     MU_INT,
     annihilator_kernel,
     is_pure,
+    mu,
     phi_v,
     random_isotropic,
     random_pure_witness,
@@ -104,19 +106,16 @@ def _prime_smoothness_scan(K, q, max_degree, budget):
     k = K.dim
     scanned, skipped = [], []
     for m in range(1, max_degree + 1):
-        n = num_projective_points(q**m, k)
-        if n > budget:
+        if num_projective_points(q**m, k) > budget:
             skipped.append(m)
             continue
         if m == 1:
             pt = find_first_zero(forms, q, k)
-            if pt is not None:
-                return ("certified-singular", (q, 1, pt), tuple(scanned), tuple(skipped))
         else:
-            ext = get_ext_field(q, m)
-            _, pts = ext_zero_locus(forms, ext, k, find_first=True)
-            if pts:
-                return ("certified-singular", (q, m, pts[0]), tuple(scanned), tuple(skipped))
+            pts = ext_zero_locus(forms, get_ext_field(q, m), k, find_first=True)[1]
+            pt = pts[0] if pts else None
+        if pt is not None:
+            return ("certified-singular", (q, m, pt), tuple(scanned), tuple(skipped))
         scanned.append(m)
     return ("no-point-up-to-degree-M", None, tuple(scanned), tuple(skipped))
 
@@ -175,16 +174,10 @@ def _reduce_mod_p(K: Subspace, p: int):
     for row in K.basis:
         denom = 1
         for x in row:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+            denom = denom * x.denominator // math.gcd(denom, x.denominator)
         rows.append(tuple((x.numerator * denom // x.denominator) % p for x in row))
     Kp = Subspace(fp, K.ambient_dim, rows)
     return Kp if Kp.dim == K.dim else None
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -197,42 +190,42 @@ class ClassificationReport:
     notes: str = ""
 
 
-def _gamma_span_fallback(K: Subspace, ext_degree: int):
-    """Characteristic-2 stand-in for the polarization tests: the span of
-    gamma over P(K)(F_{q^m}) and its total isotropy.  Equivalence with the
-    rho test in characteristic 2 is geometrically motivated but unproven;
-    callers see it flagged in the report notes."""
-    q = K.field.p
-    ext = get_ext_field(q, ext_degree)
-    k = K.dim
-    basis_cols = list(zip(*K.basis))
-    vecs = []
-    from .scan import ext_projective_blocks
-    from .variety import mu
+def _mu_span(field: Field, basis):
+    """Dimension and total isotropy of the span of mu over the points of
+    P(K), K spanned by `basis`, over any field of more than two elements
+    containing the base field (over F_2 itself the span can be smaller).
 
-    for block in ext_projective_blocks(ext.q, k, 1 << 12):
-        for row in block:
-            t = [int(v) for v in row]
-            kappa = tuple(
-                _ext_dot(ext, t, col) for col in basis_cols
-            )
-            try:
-                vecs.append(gamma(ext, kappa))
-            except PureSpinorError:
-                continue
-    span = Subspace(ext, DIM_V, vecs)
+    mu is quadratic: mu(sum t_i k_i) = sum t_i^2 mu(k_i) + sum_{i<j} t_i t_j
+    (mu(k_i + k_j) - mu(k_i) - mu(k_j)), and over such a field the
+    monomials t_i^2, t_i t_j are independent functions, so the span is
+    spanned by the rational vectors mu(k_i) and mu(k_i + k_j).
+    """
+    vecs = [mu(field, b, MINUS) for b in basis]
+    for i, a in enumerate(basis):
+        for b in basis[i + 1 :]:
+            vecs.append(mu(field, tuple(field.add(x, y) for x, y in zip(a, b)), MINUS))
+    span = Subspace(field, DIM_V, vecs)
     iso = all(
-        qV(ext, a) == 0 and all(bV(ext, a, b) == 0 for b in span.basis)
+        qV(field, a) == field.zero
+        and all(bV(field, a, b) == field.zero for b in span.basis)
         for a in span.basis
     )
     return span.dim, iso
 
 
-def _ext_dot(ext, t, col):
-    acc = 0
-    for a, b in zip(t, col):
-        acc = ext.add(acc, ext.mul(a, int(b)))
-    return acc
+def _is_special_pencil(field: Field, basis) -> bool:
+    """The k = 2 special test: rho vanishes on the pencil (odd
+    characteristic); in characteristic 2, the mu-span has dim <= 3 and is
+    totally isotropic."""
+    if field.char != 2:
+        return rho(field, basis[0], basis[1]).vanishes(field)
+    dim, iso = _mu_span(field, basis)
+    return dim <= 3 and iso
+
+
+def _is_very_special(field: Field, basis) -> bool:
+    dim, iso = _mu_span(field, basis)
+    return dim == 5 and iso
 
 
 def classify(
@@ -242,12 +235,14 @@ def classify(
     with_f4: bool = False,
 ) -> ClassificationReport:
     """Taxonomy: k=1 singular/smooth hyperplane; k=2 special/nonspecial via
-    the line complex; k=3 very-special via the polarization span; k>=4
-    generic with the rho_form rank reported."""
+    the line complex; k=3 very-special via the span of mu; k>=4 generic
+    with the rho_form rank reported."""
     field = K.field
     k = K.dim
     cert = smoothness_scan(K, max_degree, budget)
     notes = ""
+    if field.char == 2 and k in (2, 3):
+        notes = "char-2 fallback: gamma-span test (equivalence unproven)"
     rho_data = None
     if k == 1:
         label = (
@@ -256,36 +251,15 @@ def classify(
             else "smooth-hyperplane"
         )
     elif k == 2:
+        special = _is_special_pencil(field, K.basis)
+        label = "special" if special else "nonspecial"
         if field.char != 2:
-            val = rho(field, K.basis[0], K.basis[1])
-            label = "special" if val.vanishes(field) else "nonspecial"
-            rho_data = (0, 1) if val.vanishes(field) else (1, 0)
-        else:
-            dim, iso = _gamma_span_fallback(K, 2)
-            label = "special" if (dim <= 3 and iso) else "nonspecial"
-            notes = "char-2 fallback: gamma-span test (equivalence unproven)"
-    elif k == 3:
-        if field.char != 2:
-            vecs = []
-            for i in range(3):
-                for j in range(i, 3):
-                    vecs.append(polarize_mu(field, K.basis[i], K.basis[j]))
-            span = Subspace(field, DIM_V, vecs)
-            iso = all(
-                qV(field, a) == field.zero
-                and all(bV(field, a, b) == field.zero for b in span.basis)
-                for a in span.basis
-            )
-            label = "very-special" if (span.dim == 5 and iso) else "generic"
-            form = rho_form(field, K)
-            rho_data = (form.form.rank(), form.form.corank())
-        else:
-            dim, iso = _gamma_span_fallback(K, 2)
-            label = "very-special" if (dim == 5 and iso) else "generic"
-            notes = "char-2 fallback: gamma-span test (equivalence unproven)"
+            rho_data = (0, 1) if special else (1, 0)
     else:
         label = "generic"
-        if field.char != 2 and k >= 2:
+        if k == 3 and _is_very_special(field, K.basis):
+            label = "very-special"
+        if field.char != 2 and k >= 3:
             form = rho_form(field, K)
             rho_data = (form.form.rank(), form.form.corank())
     f4_count = None
@@ -401,7 +375,7 @@ def _make_special(field, rng, max_degree, budget, max_tries):
             K = _random_subspace_of(wperp, rng, 2)
             if not _smooth(K, max_degree, budget):
                 continue
-            if field.char != 2 and not rho(field, K.basis[0], K.basis[1]).vanishes(field):
+            if not _is_special_pencil(field, K.basis):
                 continue
             return SectionK.make(K)
     raise RuntimeError("retry budget exhausted for special section")
@@ -430,10 +404,9 @@ def _make_generic(field, rng, k, max_degree, budget, max_tries):
             continue
         if k <= 5 and not _smooth(K, max_degree, budget):
             continue
-        if k == 2 and field.char != 2 and rho(field, K.basis[0], K.basis[1]).vanishes(field):
+        if k == 2 and _is_special_pencil(field, K.basis):
             continue
-        if k == 3:
-            if classify(K, max_degree=1, budget=budget).label == "very-special":
-                continue
+        if k == 3 and _is_very_special(field, K.basis):
+            continue
         return SectionK.make(K)
     raise RuntimeError("retry budget exhausted for generic section")

@@ -18,6 +18,7 @@ from spinor10.counting import (
 )
 from spinor10.fields import PrimeField
 from spinor10.linalg import Subspace
+from spinor10.scan import zero_locus
 from spinor10.sections import make_section, smoothness_scan
 from spinor10.variety import random_spinor
 
@@ -65,6 +66,13 @@ def test_quadric_count():
     assert quadric_count(2) == 527
     assert quadric_count(2) == sum(2**i for i in range(9)) + 2**4
     assert quadric_count(3) == sum(3**i for i in range(9)) + 3**4
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_quadric_count_matches_enumeration(q):
+    # q_V = sum_i e_i f_i on P^9
+    coeff = [[1 if j == i + 5 else 0 for j in range(10)] for i in range(10)]
+    assert quadric_count(q) == zero_locus([coeff], q, 10)[0]
 
 
 def test_budget_error():

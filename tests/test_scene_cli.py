@@ -128,6 +128,16 @@ def test_cli_count_workers_byte_identical(capsys):
     assert outs[0] == outs[1]
 
 
+def test_cli_ext_count_workers_byte_identical(capsys):
+    outs = []
+    for w in ("1", "2"):
+        argv = ["count", "--field", "2", "--k", "5", "--ext-degree", "2", "--workers", w]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_cli_classify_pure_hyperplane(tmp_path, capsys):
     kappa = HalfSpinor.from_subsets(F5, MINUS, [((1,), F5.one)]).coords
     scene = Scene(F5, 0, (SceneObject("kappa", "section", (kappa,)),))

@@ -207,3 +207,11 @@ def test_char2_classifier_fallback():
     assert "char-2" in rep.notes
     g = make_section("generic-2", F2, seed=1)
     assert classify(g.K).label == "nonspecial"
+
+
+def test_generic_pencils_over_f2_are_nonspecial():
+    # the constructor applies the same special-pencil test as classify
+    for seed in range(20):
+        K = make_section("generic-2", F2, seed=seed).K
+        assert classify(K).label == "nonspecial", seed
+        assert f4_scan(K) == [], seed
