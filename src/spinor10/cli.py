@@ -341,11 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, scene=True):
+    # Each subcommand declares its own defaults here: smoothness work
+    # (classify, make-section) scans up to degree 6, and counting scans
+    # (count, verify, report) are larger than section scans.
+    def common(p, scene=True, ext_degree=1, budget=300_000):
         p.add_argument("--field", default="2", help="prime p, or Q")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--ext-degree", type=int, default=1, metavar="M")
-        p.add_argument("--budget", type=int, default=300_000)
+        p.add_argument("--ext-degree", type=int, default=ext_degree, metavar="M")
+        p.add_argument("--budget", type=int, default=budget)
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
         if scene:
@@ -384,11 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_rho)
 
     p = sub.add_parser("classify", help="classify a linear section")
-    common(p)
-    p.set_defaults(fn=cmd_classify, ext_degree_default=6)
+    common(p, ext_degree=6)
+    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("make-section", help="construct a section and emit a scene")
-    common(p, scene=False)
+    common(p, scene=False, ext_degree=6)
     p.add_argument("--kind", required=True, help="special | very-special | generic-K")
     p.add_argument("--out", help="output scene path (default stdout)")
     p.set_defaults(fn=cmd_make_section)
@@ -398,19 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_f4)
 
     p = sub.add_parser("count", help="count points of X_K / X^v_K")
-    common(p)
+    common(p, budget=1 << 26)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--side", choices=("X", "X^v"), default="X")
-    p.set_defaults(fn=cmd_count, budget_default=1 << 26)
+    p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    common(p, scene=False)
+    common(p, scene=False, budget=1 << 26)
     p.add_argument("suite", choices=("motive", "blowup", "k6"))
     p.add_argument("--sections", type=int, default=5, help="sections for the k6 suite")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("report", help="emit the motive count table")
-    common(p, scene=False)
+    common(p, scene=False, budget=1 << 26)
     p.set_defaults(fn=cmd_report)
 
     return ap
@@ -419,10 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command in ("classify", "make-section") and args.ext_degree == 1:
-        args.ext_degree = 6  # full default scan depth for smoothness work
-    if args.command in ("count", "verify", "report") and args.budget == 300_000:
-        args.budget = 1 << 26  # counting scans are larger than section scans
     try:
         return args.fn(args)
     except (CliError, SceneError, ValueError) as e:

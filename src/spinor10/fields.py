@@ -9,6 +9,7 @@ and :class:`fractions.Fraction` for the rationals.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 MAX_PRIME = 1 << 16
 MAX_EXT_ORDER = 1 << 16
@@ -291,21 +292,16 @@ class ExtField(Field):
 
     def _build_tables(self):
         p, q, modulus = self.p, self.q, self.modulus
-        # find a multiplicative generator
+        # a multiplicative generator (for m > 1 no constant is one)
         factors = _factor(q - 1)
-        gen = None
-        for cand in range(p, q):
-            cd = self._decode(cand)
-            ok = all(
+        gen = next(
+            cd
+            for cd in map(self._decode, range(1, q))
+            if all(
                 self._encode(_poly_powmod(cd, (q - 1) // ell, modulus, p)) != 1
                 for ell in factors
             )
-            if ok:
-                gen = cd
-                break
-        if gen is None:
-            # q == 2
-            gen = [1]
+        )
         exp = [0] * (q - 1)
         log = [0] * q
         cur = [1] + [0] * (self.m - 1)
@@ -361,9 +357,6 @@ class ExtField(Field):
 
     def __repr__(self):
         return f"F_{self.p}^{self.m}"
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)

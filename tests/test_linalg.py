@@ -183,7 +183,7 @@ def test_sym_form_requires_symmetry():
 
 
 def test_ext_field_arithmetic():
-    for p, m in [(2, 4), (3, 2), (5, 2), (2, 6)]:
+    for p, m in [(2, 4), (3, 2), (5, 2), (2, 6), (3, 1), (7, 1)]:
         f = ExtField(p, m)
         rng = random.Random(p * 100 + m)
         for _ in range(200):

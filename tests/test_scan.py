@@ -2,6 +2,7 @@
 large q."""
 
 import random
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -43,7 +44,7 @@ def random_forms(rng, q, d, n):
     return [[[rng.randrange(-q, q) for _ in range(d)] for _ in range(d)] for _ in range(n)]
 
 
-@pytest.mark.parametrize("p", [257, 1021, 4093])
+@pytest.mark.parametrize("p", [257, 1021, 4093, 65521])
 def test_conic_has_p_plus_one_points(p):
     conic = [[0, 0, 1], [0, p - 1, 0], [0, 0, 0]]  # x0 x2 - x1^2
     assert zero_locus([conic], p, 3)[0] == p + 1
@@ -72,6 +73,21 @@ def test_find_first_zero_matches_scalar_evaluation_on_planes(p):
         assert find_first_zero(forms, p, 3) == next(scalar_zeros(forms, p, 3))
 
 
+def field_zeros(field, q, forms, d):
+    """Zeros of upper-triangular forms with prime-subfield coefficients, by
+    scalar arithmetic in `field` (F_p or F_{p^m}), in scan order."""
+    for x in normalized_points(q, d):
+        if all(
+            reduce(
+                field.add,
+                (field.mul(field.mul(x[i], x[j]), c[i][j] % field.char)
+                 for i in range(d) for j in range(i, d)),
+            ) == field.zero
+            for c in forms
+        ):
+            yield x
+
+
 @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2)])
 def test_ext_zero_locus_matches_ext_field_arithmetic(p, m):
     ext = get_ext_field(p, m)
@@ -82,21 +98,91 @@ def test_ext_zero_locus_matches_ext_field_arithmetic(p, m):
                 [[rng.randrange(p) if j >= i else 0 for j in range(d)] for i in range(d)]
                 for _ in range(n)
             ]
-            ref = []
-            for x in normalized_points(ext.q, d):
-                vals = []
-                for c in forms:
-                    acc = ext.zero
-                    for i in range(d):
-                        for j in range(i, d):
-                            term = ext.mul(ext.mul(x[i], x[j]), c[i][j])
-                            acc = ext.add(acc, term)
-                    vals.append(acc)
-                if all(v == ext.zero for v in vals):
-                    ref.append(x)
+            ref = list(field_zeros(ext, ext.q, forms, d))
             assert ext_zero_locus(forms, ext, d)[0] == len(ref)
             first = ext_zero_locus(forms, ext, d, find_first=True)
             assert first == ((1, ref[:1]) if ref else (0, []))
+
+
+def branch_forms(p, d):
+    """Forms over F_p in the prefix coordinates u = x_0, v = x_{d-2} and the
+    last one t = x_{d-1} that reach each case of the root solver."""
+    u, v, t = 0, d - 2, d - 1
+
+    def form(terms):
+        c = [[0] * d for _ in range(d)]
+        for (i, j), a in terms.items():
+            c[min(i, j)][max(i, j)] = (c[min(i, j)][max(i, j)] + a) % p
+        return c
+
+    return {
+        # a = 0, b = u: every t is a root where u = 0
+        "linear": form({(u, t): 1, (u, v): 1}),
+        # a = b = 0: every t or none
+        "no-t": form({(u, v): 1, (v, v): 1}),
+        # (t - v)^2: a double root; t^2 + v^2 in characteristic 2 (B = 0)
+        "square": form({(t, t): 1, (v, t): -2, (v, v): 1}),
+        # t^2 + v t + u^2: u'^2 + u' = C / B^2 in characteristic 2
+        "artin": form({(t, t): 1, (v, t): 1, (u, u): 1}),
+        # a = 2: a = 0 and b = u in characteristic 2
+        "mixed": form({(t, t): 2, (u, t): 1, (v, v): 1, (u, v): -1}),
+    }
+
+
+SOLVER_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (3, 3)]
+
+
+@pytest.mark.parametrize(
+    "p, m, d", [(p, m, d) for p, m in SOLVER_FIELDS for d in (2, 3, 4) if p ** (m * (d - 1)) <= 1000]
+)
+def test_root_solver_branches_match_scalar_arithmetic(p, m, d):
+    ext = get_ext_field(p, m)
+    forms = branch_forms(p, d)
+    names = [[n] for n in forms] + [
+        ["linear", "artin"], ["artin", "square"], ["square", "no-t"], ["mixed", "linear", "artin"]
+    ]
+    for chosen in names:
+        sub = [forms[n] for n in chosen]
+        ref = list(field_zeros(PrimeField(p) if m == 1 else ext, ext.q, sub, d))
+        if m == 1:
+            assert zero_locus(sub, p, d, collect=True) == (len(ref), ref), chosen
+            assert find_first_zero(sub, p, d) == (ref[0] if ref else None), chosen
+        else:
+            assert ext_zero_locus(sub, ext, d) == (len(ref), []), chosen
+            first = ext_zero_locus(sub, ext, d, find_first=True)
+            assert first == ((1, ref[:1]) if ref else (0, [])), chosen
+
+
+def test_forms_vanishing_for_every_t_split_into_bounded_chunks():
+    # the zero form: every prefix has q candidates, more than a chunk holds
+    zero = [[0] * 11 for _ in range(11)]
+    ref = list(normalized_points(3, 11))
+    assert zero_locus([zero], 3, 11, collect=True) == (len(ref), ref)
+    assert zero_locus([], 3, 11, collect=True) == (len(ref), ref)
+    assert zero_locus([[[0, 0], [0, 0]]], 65521, 2)[0] == 65522
+    assert ext_zero_locus([], get_ext_field(2, 4), 3)[0] == 1 + 16 + 256
+
+
+def test_solver_tables_are_built_on_first_use(monkeypatch):
+    ext = get_ext_field(2, 5)
+    tables = scan.ExtTables(ext)
+    monkeypatch.setattr(scan, "_tables_for", lambda _: tables)
+    # P^0 needs no solving: only the log/exp tables exist afterwards
+    assert ext_zero_locus([], ext, 1) == (1, [])
+    assert not {"inv", "sqrt", "artin"} & vars(tables).keys()
+    # x0^2 + x0 x1 + x1^2 has no zero over F_32, an odd-degree extension of F_2
+    assert ext_zero_locus([[[1, 1], [0, 1]]], ext, 2) == (0, [])
+    assert {"inv", "artin"} <= vars(tables).keys()
+
+
+@pytest.mark.parametrize("p, d", [(2, 16), (3, 10)])
+def test_collect_is_independent_of_the_worker_count(p, d):
+    forms = [restrict_quadric(PrimeField(p), c, [[int(i == j) for j in range(16)] for i in range(d)])
+             for c in MU_INT[MINUS]]
+    one = zero_locus(forms, p, d, collect=True, workers=1)
+    assert one[0] > 0
+    assert zero_locus(forms, p, d, collect=True, workers=2) == one
+    assert zero_locus(forms, p, d, workers=2)[0] == one[0]
 
 
 def test_dual_count_through_three_pure_spinors_f1021():

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from spinor10.clifford import DIM_S, HalfSpinor, MINUS
-from spinor10.cli import main
+from spinor10 import cli
+from spinor10.cli import build_parser, main
 from spinor10.fields import PrimeField, QQ
 from spinor10.linalg import Subspace
 from spinor10.scene import (
@@ -202,6 +203,50 @@ def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])
     assert e.value.code == 2
+
+
+def test_cli_defaults_are_declared_per_subcommand():
+    parser = build_parser()
+    for argv in (["count"], ["verify", "motive"], ["report"]):
+        args = parser.parse_args(argv)
+        assert (args.ext_degree, args.budget) == (1, 1 << 26)
+    for argv in (["classify"], ["make-section", "--kind", "special"]):
+        args = parser.parse_args(argv)
+        assert (args.ext_degree, args.budget) == (6, 300_000)
+    args = parser.parse_args(["f4"])
+    assert (args.ext_degree, args.budget) == (1, 300_000)
+
+
+def test_cli_explicit_budget_equal_to_another_default_is_honoured(capsys):
+    # P^10(F_4) has 1,398,101 points: both budgets refuse before scanning
+    results = []
+    for budget in ("300000", "300001"):
+        argv = ["count", "--field", "2", "--k", "5", "--ext-degree", "2", "--budget", budget]
+        code, out, err = run_cli(argv, capsys)
+        results.append((code, out, err.replace(budget, "B")))
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert code == 1 and out == "" and "exceeds budget B" in err
+
+
+def test_cli_classify_honours_explicit_ext_degree(tmp_path, capsys, monkeypatch):
+    reports = []
+    real = cli.classify
+
+    def spy(*args, **kw):
+        reports.append(real(*args, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "classify", spy)
+    p = tmp_path / "pencil.json"
+    argv = ["make-section", "--kind", "generic-2", "--field", "3", "--seed", "1"]
+    assert run_cli(argv + ["--out", str(p)], capsys)[0] == 0
+    code, explicit, _ = run_cli(["classify", "--scene", str(p), "--ext-degree", "1"], capsys)
+    assert code == 0 and reports[-1].smoothness.scanned == (1,)
+    code, default, _ = run_cli(["classify", "--scene", str(p)], capsys)
+    cert = reports[-1].smoothness
+    assert code == 0 and sorted(cert.scanned + cert.skipped) == [1, 2, 3, 4, 5, 6]
+    assert default == explicit == "k: 2\nlabel: nonspecial\nsmoothness: no-point-up-to-degree-M\nnotes: \n"
 
 
 def test_cli_entry_point_subprocess():
