@@ -1,8 +1,8 @@
 """Command-line surface: deterministic queries, section construction,
 counting, and verification suites.
 
-Exit codes: 0 on success/pass, 1 on verification failure, 2 on usage
-errors.  Output depends only on (inputs, seed, flags), never on the
+Exit codes: 0 on success/pass, 1 on verification failure or a budget
+refusal, 2 on usage errors.  Output depends only on (inputs, seed, flags), never on the
 worker count.
 """
 
@@ -10,32 +10,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 
-from .clifford import DIM_S, DIM_V, MINUS, PLUS
+from .clifford import DIM_S, MINUS, PLUS
 from .counting import (
+    DEFAULT_COUNT_BUDGET,
     BudgetExceededError,
     CountReport,
-    count_section_points,
-    predicted_count,
-    quadric_count,
+    count_report,
     verify_blowup_identity,
     verify_k6_relation,
 )
-from .fields import Field, PrimeField, QQ, field_spec
+from .fields import Field, PrimeField, field_spec
 from .gamma import PureSpinorError, gamma, rho
 from .linalg import Subspace
-from .scene import (
-    Scene,
-    SceneError,
-    emit_scene,
-    parse_scene,
-    section_scene,
-    subspace_object,
-)
-from .sections import SectionK, classify, make_section, smoothness_scan
+from .scene import Scene, SceneError, emit_scene, parse_scene, section_scene
+from .sections import DEFAULT_BUDGET, DEFAULT_MAX_DEGREE, classify, make_section
 from .spaces import f4_scan, span_pi4
 from .variety import annihilator, annihilator_kernel, mu, random_spinor
 
@@ -79,37 +72,38 @@ def _load_scene(path: str) -> Scene:
         raise CliError(f"cannot read scene {path}: {e}") from None
 
 
+def _scene_object(args, types):
+    """The scene's field and the object named by --object, else the scene's
+    first object of one of the given types."""
+    scene = _load_scene(args.scene)
+    if args.object:
+        return scene.field, scene.get(args.object)
+    for obj in scene.objects:
+        if obj.type in types:
+            return scene.field, obj
+    raise CliError(f"scene {args.scene} has no object of type {' or '.join(types)}")
+
+
 def _scene_vector(args, field, n, obj_types):
     """Fetch a vector either inline (--coords) or from a scene object."""
     if args.coords:
         return field, _parse_coords(field, args.coords, n)
     if args.scene:
-        scene = _load_scene(args.scene)
-        name = args.object
-        obj = scene.get(name) if name else next(
-            o for o in scene.objects if o.type in obj_types
-        )
+        field, obj = _scene_object(args, obj_types)
         if obj.type not in obj_types:
             raise CliError(f"object {obj.name!r} has type {obj.type}, need {obj_types}")
-        return scene.field, obj.data
+        return field, obj.data
     raise CliError("need --coords or --scene")
 
 
-def _scene_section(args) -> tuple:
-    scene = _load_scene(args.scene)
-    name = getattr(args, "object", None)
-    obj = scene.get(name) if name else next(
-        o for o in scene.objects if o.type == "section"
-    )
-    return scene.field, obj.as_subspace(scene.field)
+def _scene_section(args) -> Subspace:
+    field, obj = _scene_object(args, ("section",))
+    return obj.as_subspace(field)
 
 
-def _emit(args, payload: dict, csv_rows=None):
+def _emit(args, payload: dict):
     if args.format == "json":
         print(json.dumps(payload, indent=2, default=str))
-    elif csv_rows is not None:
-        for row in csv_rows:
-            print(row)
     else:
         for key, val in payload.items():
             print(f"{key}: {val}")
@@ -154,12 +148,8 @@ def cmd_span(args):
 
         sp = span_pi4(witness_from_spinor(field, tau, MINUS))
     else:
-        scene = _load_scene(args.scene)
-        obj = scene.get(args.object) if args.object else next(
-            o for o in scene.objects if o.type == "subspace-v"
-        )
-        U = obj.as_subspace(scene.field)
-        sp = annihilator_kernel(scene.field, U, _half(args.half))
+        field, obj = _scene_object(args, ("subspace-v",))
+        sp = annihilator_kernel(field, obj.as_subspace(field), _half(args.half))
     _emit(args, {"dim": sp.dim, "basis": [list(map(str, r)) for r in sp.basis]})
     return 0
 
@@ -188,7 +178,7 @@ def cmd_rho(args):
 
 
 def cmd_classify(args):
-    field, K = _scene_section(args)
+    K = _scene_section(args)
     rep = classify(K, max_degree=args.ext_degree, budget=args.budget)
     _emit(
         args,
@@ -219,7 +209,7 @@ def cmd_make_section(args):
 
 
 def cmd_f4(args):
-    field, K = _scene_section(args)
+    K = _scene_section(args)
     wits = f4_scan(K)
     _emit(
         args,
@@ -236,52 +226,41 @@ def cmd_count(args):
     if not isinstance(field, PrimeField):
         raise CliError("count needs a prime field")
     if args.scene:
-        field, K = _scene_section(args)
+        K = _scene_section(args)
     elif args.k == 0:
         K = Subspace(field, DIM_S, [])
     else:
         K = make_section(f"generic-{args.k}", field, seed=args.seed).K
-    try:
-        n = count_section_points(
-            K, args.side, args.ext_degree, budget=args.budget, workers=args.workers
-        )
-    except BudgetExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    print(n)
-    if args.side == "X" and args.ext_degree == 1 and K.dim <= 5:
-        return 0 if n == predicted_count(K.dim, field.p) else 1
-    return 0
+    rep = count_report(
+        K, args.side, args.ext_degree, budget=args.budget, workers=args.workers
+    )
+    print(rep.actual)
+    return 0 if rep.passed else 1
 
 
 def _verify_motive(args, field):
-    rows, ok = [], True
+    rows = []
     rng = random.Random(args.seed)
     for k in range(6):
         if k == 0:
             K = Subspace(field, DIM_S, [])
         else:
             K = make_section(f"generic-{k}", field, seed=rng.randrange(1 << 30)).K
-        n = count_section_points(K, "X", budget=args.budget, workers=args.workers)
-        pred = predicted_count(k, field.p)
-        rows.append(CountReport(field.p, 1, k, "X", n, pred, n == pred))
-        ok = ok and n == pred
-    return rows, ok
+        rows.append(count_report(K, budget=args.budget, workers=args.workers))
+    return rows, all(r.passed for r in rows)
 
 
 def _verify_blowup(args, field):
-    rows, ok = [], True
+    rows = []
     rng = random.Random(args.seed)
     for k in range(1, 6):
         K = make_section(f"generic-{k}", field, seed=rng.randrange(1 << 30)).K
-        r = verify_blowup_identity(K, budget=args.budget, workers=args.workers)
-        rows.append(r)
-        ok = ok and r.passed
-    return rows, ok
+        rows.append(verify_blowup_identity(K, budget=args.budget, workers=args.workers))
+    return rows, all(r.passed for r in rows)
 
 
 def _verify_k6(args, field):
-    rows, ok = [], True
+    rows = []
     rng = random.Random(args.seed)
     tries = 0
     while len(rows) < args.sections and tries < 50 * args.sections:
@@ -297,7 +276,8 @@ def _verify_k6(args, field):
             continue
         rows.append(r)
         if not r.passed:
-            path = f"k6-counterexample-{len(rows)}.json"
+            os.makedirs("findings", exist_ok=True)
+            path = f"findings/k6-counterexample-{len(rows)}.json"
             with open(path, "w") as fh:
                 fh.write(emit_scene(section_scene(field, K, seed=args.seed)))
             print(f"counterexample logged: {path}", file=sys.stderr)
@@ -320,20 +300,6 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def cmd_report(args):
-    field = field_spec(args.field)
-    if not isinstance(field, PrimeField):
-        raise CliError("report needs a prime field")
-    rows, ok = _verify_motive(args, field)
-    if args.format == "json":
-        print(json.dumps([r.__dict__ for r in rows], indent=2, default=str))
-    else:
-        print(CountReport.CSV_HEADER)
-        for r in rows:
-            print(r.csv_row())
-    return 0 if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="spinor10",
@@ -341,80 +307,78 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    # Each subcommand declares its own defaults here: smoothness work
-    # (classify, make-section) scans up to degree 6, and counting scans
-    # (count, verify, report) are larger than section scans.
-    def common(p, scene=True, ext_degree=1, budget=300_000):
+    # Each subcommand declares exactly the flags its handler reads.
+    def field(p):
         p.add_argument("--field", default="2", help="prime p, or Q")
+
+    def seed(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--ext-degree", type=int, default=ext_degree, metavar="M")
-        p.add_argument("--budget", type=int, default=budget)
+
+    def workers(p):
         p.add_argument("--workers", type=int, default=1)
+
+    def fmt(p):
         p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
-        if scene:
-            p.add_argument("--scene", help="scene JSON file")
+
+    def coords(p):
+        p.add_argument("--coords", help="inline comma-separated spinor coordinates")
+
+    def half(default):
+        return lambda p: p.add_argument("--half", default=default, choices=("+", "-"))
+
+    def scene(required=False):
+        def add(p):
+            p.add_argument("--scene", required=required, help="scene JSON file")
             p.add_argument("--object", help="object name within the scene")
+        return add
 
-    p = sub.add_parser("member", help="test whether a spinor lies on X / X^v")
-    common(p)
-    p.add_argument("--half", default="-", choices=("+", "-"))
-    p.add_argument("--coords", help="inline comma-separated spinor coordinates")
-    p.set_defaults(fn=cmd_member)
+    def limits(ext_degree, budget):
+        def add(p):
+            p.add_argument("--ext-degree", type=int, default=ext_degree, metavar="M")
+            p.add_argument("--budget", type=int, default=budget)
+        return add
 
-    p = sub.add_parser("gamma", help="evaluate the gamma map on a spinor in S-")
-    common(p)
-    p.add_argument("--coords")
-    p.set_defaults(fn=cmd_gamma)
+    # smoothness work scans up to degree 6; counting scans are larger
+    section_limits = limits(DEFAULT_MAX_DEGREE, DEFAULT_BUDGET)
+    count_limits = limits(1, DEFAULT_COUNT_BUDGET)
 
-    p = sub.add_parser("annihilator", help="annihilator of a spinor inside V")
-    common(p)
-    p.add_argument("--half", default="-", choices=("+", "-"))
-    p.add_argument("--coords")
-    p.set_defaults(fn=cmd_annihilator)
+    def command(name, fn, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for add in flags:
+            add(p)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("span", help="annihilator_kernel of a subspace, or span_pi4")
-    common(p)
+    command("member", cmd_member, "test whether a spinor lies on X / X^v",
+            field, half("-"), coords, scene(), fmt)
+    command("gamma", cmd_gamma, "evaluate the gamma map on a spinor in S-",
+            field, coords, scene(), fmt)
+    command("annihilator", cmd_annihilator, "annihilator of a spinor inside V",
+            field, half("-"), coords, scene(), fmt)
+    p = command("span", cmd_span, "annihilator_kernel of a subspace, or span_pi4",
+                field, half("+"), coords, scene(), fmt)
     p.add_argument("--kind", choices=("annihilator-kernel", "pi4"), required=True)
-    p.add_argument("--half", default="+", choices=("+", "-"))
-    p.add_argument("--coords")
-    p.set_defaults(fn=cmd_span)
-
-    p = sub.add_parser("rho", help="spinor quadratic line complex value")
-    common(p)
-    p.add_argument("--coords")
+    p = command("rho", cmd_rho, "spinor quadratic line complex value",
+                field, coords, fmt)
     p.add_argument("--coords2")
+    p.add_argument("--scene", help="scene JSON file")
     p.add_argument("--objects", help="comma-separated pair of scene object names")
-    p.set_defaults(fn=cmd_rho)
-
-    p = sub.add_parser("classify", help="classify a linear section")
-    common(p, ext_degree=6)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("make-section", help="construct a section and emit a scene")
-    common(p, scene=False, ext_degree=6)
+    command("classify", cmd_classify, "classify a linear section",
+            scene(required=True), section_limits, fmt)
+    p = command("make-section", cmd_make_section, "construct a section and emit a scene",
+                field, seed, section_limits)
     p.add_argument("--kind", required=True, help="special | very-special | generic-K")
     p.add_argument("--out", help="output scene path (default stdout)")
-    p.set_defaults(fn=cmd_make_section)
-
-    p = sub.add_parser("f4", help="scan for linear 4-spaces inside a section")
-    common(p)
-    p.set_defaults(fn=cmd_f4)
-
-    p = sub.add_parser("count", help="count points of X_K / X^v_K")
-    common(p, budget=1 << 26)
+    command("f4", cmd_f4, "scan for linear 4-spaces inside a section",
+            scene(required=True), fmt)
+    p = command("count", cmd_count, "count points of X_K / X^v_K",
+                field, seed, count_limits, workers, scene())
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--side", choices=("X", "X^v"), default="X")
-    p.set_defaults(fn=cmd_count)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    common(p, scene=False, budget=1 << 26)
+    p = command("verify", cmd_verify, "run a named verification suite",
+                field, seed, count_limits, workers, fmt)
     p.add_argument("suite", choices=("motive", "blowup", "k6"))
     p.add_argument("--sections", type=int, default=5, help="sections for the k6 suite")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("report", help="emit the motive count table")
-    common(p, scene=False, budget=1 << 26)
-    p.set_defaults(fn=cmd_report)
 
     return ap
 
@@ -424,6 +388,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
+    except BudgetExceededError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except (CliError, SceneError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -122,9 +122,9 @@ class CountReport:
 
 def count_report(K: Subspace, side: str = "X", m: int = 1, **kw) -> CountReport:
     """CountReport comparing the enumerated count with the motive prediction."""
+    actual = count_section_points(K, side, m, **kw)
     q = K.field.p
     k = K.dim
-    actual = count_section_points(K, side, m, **kw)
     if side == "X" and 0 <= k <= 5 and m == 1:
         predicted = predicted_count(k, q)
         return CountReport(q, m, k, side, actual, predicted, actual == predicted)
@@ -146,7 +146,7 @@ def verify_blowup_identity(K: Subspace, **kw) -> CountReport:
     lhs = projective_count(q, 15 - k) + nx * (projective_count(q, 4) - 1)
     rhs = nq * projective_count(q, 7 - k) + projective_count(q, k - 1) * q ** (8 - k)
     return CountReport(
-        q, 1, k, "X", nx, predicted_count(k, q) if k <= 5 else nx,
+        q, 1, k, "X", nx, predicted_count(k, q),
         lhs == rhs, identity_lhs=lhs, identity_rhs=rhs,
     )
 

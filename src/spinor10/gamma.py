@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .clifford import DIM_S, DIM_V, MINUS, bV
+from .clifford import MINUS, bV
 from .fields import Field
 from .linalg import Subspace, SymBilinearForm
 from .variety import mu

@@ -12,7 +12,7 @@ identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .clifford import DIM_S, DIM_V

@@ -30,6 +30,7 @@ from .variety import (
 DEFAULT_MAX_DEGREE = 6
 DEFAULT_BUDGET = 300_000
 REDUCTION_PRIMES = (3, 5, 7)
+MAX_TRIES = 200
 
 
 def _pairing_rows(field: Field, vectors_minus):
@@ -85,7 +86,7 @@ class SectionK:
 
 @dataclass(frozen=True)
 class SmoothnessCertificate:
-    status: str  # "certified-singular" | "no-point-up-to-degree-M"
+    status: str  # "certified-singular" | "singular-mod-p" | "no-point-up-to-degree-M"
     max_degree: int
     witness: tuple | None  # (prime, degree, point coefficients on the K basis)
     scanned: tuple
@@ -124,16 +125,15 @@ def smoothness_scan(
     K: Subspace,
     max_degree: int = DEFAULT_MAX_DEGREE,
     budget: int = DEFAULT_BUDGET,
-    reduction_primes=REDUCTION_PRIMES,
 ) -> SmoothnessCertificate:
     """Scan X^v cap P(K) for points over F_{q^m}, m = 1..max_degree.
 
     For k <= 5 emptiness over the algebraic closure is equivalent to X_K
     smooth; the scan certifies emptiness only up to the given degree, and
     levels whose point count exceeds the budget are skipped (recorded).
-    Over the rationals the scan runs over a reduction prime set; a section
-    is flagged certified-singular only when every scanned prime exhibits a
-    point (modular evidence, noted as such).
+    Over the rationals the scan runs over REDUCTION_PRIMES; a section is
+    flagged singular-mod-p when every scanned prime exhibits a point.  That
+    is modular evidence, not a proof that X_K itself is singular.
     """
     field = K.field
     if isinstance(field, PrimeField):
@@ -144,7 +144,7 @@ def smoothness_scan(
     if isinstance(field, RationalField):
         hits = []
         scanned, skipped = [], []
-        for p in reduction_primes:
+        for p in REDUCTION_PRIMES:
             Kp = _reduce_mod_p(K, p)
             if Kp is None:
                 skipped.append(p)
@@ -155,7 +155,7 @@ def smoothness_scan(
                 hits.append(wit)
         if scanned and len(hits) == len(scanned):
             return SmoothnessCertificate(
-                "certified-singular",
+                "singular-mod-p",
                 max_degree,
                 hits[0],
                 tuple(scanned),
@@ -186,7 +186,6 @@ class ClassificationReport:
     smoothness: SmoothnessCertificate
     label: str
     rho_data: tuple | None  # (rank, corank) of the relevant form, when computed
-    f4_count: int | None
     notes: str = ""
 
 
@@ -232,7 +231,6 @@ def classify(
     K: Subspace,
     max_degree: int = DEFAULT_MAX_DEGREE,
     budget: int = DEFAULT_BUDGET,
-    with_f4: bool = False,
 ) -> ClassificationReport:
     """Taxonomy: k=1 singular/smooth hyperplane; k=2 special/nonspecial via
     the line complex; k=3 very-special via the span of mu; k>=4 generic
@@ -262,12 +260,7 @@ def classify(
         if field.char != 2 and k >= 3:
             form = rho_form(field, K)
             rho_data = (form.form.rank(), form.form.corank())
-    f4_count = None
-    if with_f4:
-        from .spaces import f4_scan
-
-        f4_count = len(f4_scan(K))
-    return ClassificationReport(k, cert, label, rho_data, f4_count, notes)
+    return ClassificationReport(k, cert, label, rho_data, notes)
 
 
 class NonTransversalError(ValueError):
@@ -343,7 +336,6 @@ def make_section(
     seed: int = 0,
     max_degree: int = DEFAULT_MAX_DEGREE,
     budget: int = DEFAULT_BUDGET,
-    max_tries: int = 200,
 ) -> SectionK:
     """Construct a section of the requested kind (deterministic in the seed).
 
@@ -351,14 +343,14 @@ def make_section(
     """
     rng = random.Random(seed)
     if kind == "special":
-        return _make_special(field, rng, max_degree, budget, max_tries)
+        return _make_special(field, rng, max_degree, budget)
     if kind == "very-special":
-        return _make_very_special(field, rng, max_degree, budget, max_tries)
+        return _make_very_special(field, rng, max_degree, budget)
     if kind.startswith("generic-"):
         k = int(kind.split("-", 1)[1])
         if not 1 <= k <= 8:
             raise ValueError("generic-k needs k in 1..8")
-        return _make_generic(field, rng, k, max_degree, budget, max_tries)
+        return _make_generic(field, rng, k, max_degree, budget)
     raise ValueError(f"unknown section kind {kind!r}")
 
 
@@ -366,8 +358,8 @@ def _smooth(K, max_degree, budget):
     return smoothness_scan(K, max_degree, budget).smooth_so_far
 
 
-def _make_special(field, rng, max_degree, budget, max_tries):
-    for _ in range(max_tries):
+def _make_special(field, rng, max_degree, budget):
+    for _ in range(MAX_TRIES):
         u3 = random_isotropic(field, rng, 3)
         w = w_u3(field, u3)
         wperp = perp_in_minus(w)
@@ -381,10 +373,10 @@ def _make_special(field, rng, max_degree, budget, max_tries):
     raise RuntimeError("retry budget exhausted for special section")
 
 
-def _make_very_special(field, rng, max_degree, budget, max_tries):
+def _make_very_special(field, rng, max_degree, budget):
     from .spaces import span_pi4
 
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         tau = random_pure_witness(field, rng, MINUS)
         perp = perp_in_minus(span_pi4(tau))
         for _ in range(20):
@@ -395,8 +387,8 @@ def _make_very_special(field, rng, max_degree, budget, max_tries):
     raise RuntimeError("retry budget exhausted for very-special section")
 
 
-def _make_generic(field, rng, k, max_degree, budget, max_tries):
-    for _ in range(max_tries):
+def _make_generic(field, rng, k, max_degree, budget):
+    for _ in range(MAX_TRIES):
         K = Subspace(
             field, DIM_S, [random_spinor(field, rng, MINUS) for _ in range(k)]
         )

@@ -15,7 +15,6 @@ from .variety import (
     MU_INT,
     PureSpinorWitness,
     annihilator_kernel,
-    is_isotropic,
     restrict_quadric,
     witness_from_spinor,
 )
@@ -126,7 +125,7 @@ def _f4_constraint_space(K: Subspace) -> Subspace:
     return Subspace(field, DIM_S, kernel_basis(field, mat(rows)))
 
 
-def f4_scan(K: Subspace, workers: int = 1):
+def f4_scan(K: Subspace):
     """All F_q-points tau of X^v with the 4-space Pi^4 of tau inside X_K.
 
     The scan of P(S-)(F_q) is restricted exactly (not heuristically) to the
@@ -140,7 +139,7 @@ def f4_scan(K: Subspace, workers: int = 1):
     if cspace.dim == 0:
         return []
     forms = [restrict_quadric(field, c, cspace.basis) for c in MU_INT[MINUS]]
-    _, pts = zero_locus(forms, q, cspace.dim, collect=True, workers=workers)
+    _, pts = zero_locus(forms, q, cspace.dim, collect=True)
     out = []
     basis_t = list(zip(*cspace.basis))
     for t in pts:

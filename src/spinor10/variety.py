@@ -18,7 +18,6 @@ from .clifford import (
     bV,
     clifford_mul,
     eval_quadratic,
-    other_half,
     qV,
 )
 from .fields import Field

@@ -1,12 +1,14 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from spinor10.clifford import DIM_S, HalfSpinor, MINUS
+from spinor10.clifford import DIM_S, DIM_V, HalfSpinor, MINUS
 from spinor10 import cli
 from spinor10.cli import build_parser, main
+from spinor10.counting import DEFAULT_COUNT_BUDGET, CountReport
 from spinor10.fields import PrimeField, QQ
 from spinor10.linalg import Subspace
 from spinor10.scene import (
@@ -17,6 +19,7 @@ from spinor10.scene import (
     parse_scene,
     section_scene,
 )
+from spinor10.sections import DEFAULT_BUDGET, DEFAULT_MAX_DEGREE
 
 F5 = PrimeField(5)
 
@@ -207,14 +210,92 @@ def test_cli_usage_errors(capsys):
 
 def test_cli_defaults_are_declared_per_subcommand():
     parser = build_parser()
-    for argv in (["count"], ["verify", "motive"], ["report"]):
+    for argv in (["count"], ["verify", "motive"]):
         args = parser.parse_args(argv)
-        assert (args.ext_degree, args.budget) == (1, 1 << 26)
-    for argv in (["classify"], ["make-section", "--kind", "special"]):
+        assert (args.ext_degree, args.budget) == (1, DEFAULT_COUNT_BUDGET)
+    for argv in (["classify", "--scene", "s.json"], ["make-section", "--kind", "special"]):
         args = parser.parse_args(argv)
-        assert (args.ext_degree, args.budget) == (6, 300_000)
-    args = parser.parse_args(["f4"])
-    assert (args.ext_degree, args.budget) == (1, 300_000)
+        assert (args.ext_degree, args.budget) == (DEFAULT_MAX_DEGREE, DEFAULT_BUDGET)
+
+
+# Every flag a subcommand accepts is one its handler reads.
+FLAGS = {
+    "member": {"field", "half", "coords", "scene", "object", "format"},
+    "gamma": {"field", "coords", "scene", "object", "format"},
+    "annihilator": {"field", "half", "coords", "scene", "object", "format"},
+    "span": {"field", "kind", "half", "coords", "scene", "object", "format"},
+    "rho": {"field", "coords", "coords2", "scene", "objects", "format"},
+    "classify": {"scene", "object", "ext-degree", "budget", "format"},
+    "make-section": {"field", "seed", "kind", "ext-degree", "budget", "out"},
+    "f4": {"scene", "object", "format"},
+    "count": {"field", "seed", "k", "side", "ext-degree", "budget", "workers", "scene", "object"},
+    "verify": {"suite", "field", "seed", "ext-degree", "budget", "workers", "sections", "format"},
+}
+
+
+def test_cli_subcommands_declare_only_the_flags_they_read():
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    declared = {
+        name: {
+            a.option_strings[0].lstrip("-") if a.option_strings else a.dest
+            for a in p._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, p in subparsers.choices.items()
+    }
+    assert declared == FLAGS
+    assert sum(map(len, declared.values())) == 61
+
+
+def exit_code(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    return code, capsys.readouterr().err
+
+
+def test_cli_rejects_removed_commands_and_flags(capsys):
+    assert exit_code(["report"], capsys)[0] == 2
+    coords = ",".join(["1"] + ["0"] * 15)
+    assert exit_code(["member", "--coords", coords, "--budget", "5"], capsys)[0] == 2
+
+
+def test_cli_scene_errors_exit_2_without_traceback(tmp_path, capsys):
+    # a scene with no section, subspace-v or spinor object
+    p = tmp_path / "v.json"
+    p.write_text(emit_scene(Scene(F5, 0, (SceneObject("v", "vector-v", (0,) * DIM_V),))))
+    for argv in (
+        ["classify"],
+        ["f4"],
+        ["classify", "--scene", str(p)],
+        ["f4", "--scene", str(p)],
+        ["count", "--field", "5", "--scene", str(p)],
+        ["span", "--kind", "annihilator-kernel", "--scene", str(p)],
+        ["member", "--scene", str(p)],
+    ):
+        code, err = exit_code(argv, capsys)
+        assert code == 2, argv
+        assert err.count("error:") == 1 and "Traceback" not in err, argv
+
+
+def test_cli_budget_refusal_in_a_suite_exits_1_without_traceback(capsys):
+    code, out, err = run_cli(["verify", "motive", "--field", "2", "--budget", "10"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "exceeds budget 10" in err
+
+
+def test_cli_verify_k6_logs_counterexamples_under_findings(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    failing = CountReport(2, 1, 6, "X", 50, 52, False)
+    monkeypatch.setattr(cli, "verify_k6_relation", lambda K, **kw: failing)
+    code, out, err = run_cli(["verify", "k6", "--field", "2", "--sections", "1"], capsys)
+    assert code == 0 and out.endswith("False\n")
+    assert "counterexample logged: findings/k6-counterexample-1.json" in err
+    scene = parse_scene((tmp_path / "findings" / "k6-counterexample-1.json").read_text())
+    assert scene.get("K").as_subspace(scene.field).dim == 6
 
 
 def test_cli_explicit_budget_equal_to_another_default_is_honoured(capsys):

@@ -76,7 +76,7 @@ def test_smoothness_scan_rationals():
     assert cert.smooth_so_far
     Kp = Subspace(QQ, DIM_S, [pure_kappa(QQ)])
     cert = smoothness_scan(Kp, max_degree=2)
-    assert cert.status == "certified-singular"
+    assert cert.status == "singular-mod-p"
 
 
 def test_classify_hyperplanes():
