@@ -30,7 +30,7 @@ from .linalg import Subspace
 from .scene import Scene, SceneError, emit_scene, parse_scene, section_scene
 from .sections import DEFAULT_BUDGET, DEFAULT_MAX_DEGREE, classify, make_section
 from .spaces import f4_scan, span_pi4
-from .variety import annihilator, annihilator_kernel, mu, random_spinor
+from .variety import annihilator, annihilator_kernel, mu, random_spinor, witness_from_spinor
 
 
 class CliError(Exception):
@@ -144,8 +144,6 @@ def cmd_span(args):
     field = field_spec(args.field)
     if args.kind == "pi4":
         field, tau = _scene_vector(args, field, DIM_S, ("spinor-",))
-        from .variety import witness_from_spinor
-
         sp = span_pi4(witness_from_spinor(field, tau, MINUS))
     else:
         field, obj = _scene_object(args, ("subspace-v",))
@@ -300,6 +298,21 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int >= low, else a usage error."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="spinor10",
@@ -315,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
 
     def workers(p):
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_int_at_least(1), default=1)
 
     def fmt(p):
         p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
@@ -334,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def limits(ext_degree, budget):
         def add(p):
-            p.add_argument("--ext-degree", type=int, default=ext_degree, metavar="M")
-            p.add_argument("--budget", type=int, default=budget)
+            p.add_argument("--ext-degree", type=_int_at_least(1), default=ext_degree, metavar="M")
+            p.add_argument("--budget", type=_int_at_least(0), default=budget)
         return add
 
     # smoothness work scans up to degree 6; counting scans are larger
@@ -378,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify, "run a named verification suite",
                 field, seed, count_limits, workers, fmt)
     p.add_argument("suite", choices=("motive", "blowup", "k6"))
-    p.add_argument("--sections", type=int, default=5, help="sections for the k6 suite")
+    p.add_argument("--sections", type=_int_at_least(1), default=5, help="sections for the k6 suite")
 
     return ap
 

@@ -9,8 +9,11 @@ even (plus) or odd (minus), sorted by (|T|, lexicographic).  For S+ this is
 {}, {1,2}, {1,3}, {1,4}, {1,5}, {2,3}, ..., {4,5}, {1,2,3,4}, ..., {2,3,4,5}.
 
 The duality pairing S- x S+ -> F reads off the coefficient of e12345 in
-rev(t) ^ s.  Its sign convention is pinned at import time by a calibration
-against the quadratic map mu (see `PAIRING_VARIANT`).
+rev(t) ^ s (the reversal convention, under which mu vanishes on the pure
+spinors 1 and e12 and not on 1 + e1234).  Each basis vector of V acts as a
+signed partial permutation of the basis (`E_TABLE`, `F_TABLE`) and the
+pairing is a signed permutation (`PAIR_TERMS`), so the quadrics mu
+(`MU_INT`) and every orthogonal under the pairing are read off these tables.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fields import Field
+from .linalg import Subspace, kernel_basis, mat
 
 PLUS, MINUS = "+", "-"
 
@@ -128,33 +132,39 @@ def basis_f(field: Field, i: int):
     return tuple(v)
 
 
-def _shuffle_sign(t, s):
-    inv = sum(1 for a in t for b in s if b < a)
-    return -1 if inv % 2 else 1
+def v_basis(field: Field):
+    """e1..e5, f1..f5: the coordinate basis of V."""
+    return [basis_e(field, i) for i in range(1, 6)] + [
+        basis_f(field, i) for i in range(1, 6)
+    ]
 
 
-def _pairing_terms(variant: str):
-    """(minus index, plus index, sign) triples for <t, s> = [rev(t) ^ s]_top."""
+def _pairing_terms():
+    """(minus index, plus index, sign) triples for <t, s> = [rev(t) ^ s]_top:
+    reversing t takes d(d-1)/2 transpositions, sorting t ^ comp(t) one per
+    inversion between the two."""
     terms = []
     full = frozenset(range(1, 6))
     for ti, t in enumerate(MINUS_SUBSETS):
         comp = tuple(sorted(full - set(t)))
-        si = SUBSET_INDEX[PLUS][comp]
-        d = len(t)
-        if variant == "reversal":
-            vsign = -1 if (d * (d - 1) // 2) % 2 else 1
-        else:  # grade involution
-            vsign = -1 if d % 2 else 1
-        terms.append((ti, si, vsign * _shuffle_sign(t, comp)))
+        flips = len(t) * (len(t) - 1) // 2 + sum(1 for a in t for b in comp if b < a)
+        terms.append((ti, SUBSET_INDEX[PLUS][comp], -1 if flips % 2 else 1))
     return tuple(terms)
 
 
-_PAIR_TERMS = {v: _pairing_terms(v) for v in ("reversal", "involution")}
+PAIR_TERMS = _pairing_terms()
+# _PARTNER[half][i] = (j, sign): the pairing of b_i in S_half with b_j in the
+# other half is sign, and with every other basis vector 0
+_PARTNER = {
+    MINUS: {ti: (si, sign) for ti, si, sign in PAIR_TERMS},
+    PLUS: {si: (ti, sign) for ti, si, sign in PAIR_TERMS},
+}
 
 
-def _pairing_with(variant, field, t_coords, s_coords):
+def pairing(field: Field, t_coords, s_coords):
+    """Duality pairing <t, s> with t in S-, s in S+."""
     acc = field.zero
-    for ti, si, sign in _PAIR_TERMS[variant]:
+    for ti, si, sign in PAIR_TERMS:
         x, y = t_coords[ti], s_coords[si]
         if x != field.zero and y != field.zero:
             term = field.mul(x, y)
@@ -162,71 +172,51 @@ def _pairing_with(variant, field, t_coords, s_coords):
     return acc
 
 
-class _ZZ:
-    """Plain integer arithmetic, used for the symbolic precomputations."""
+def pairing_orthogonal(W: Subspace, half: str) -> Subspace:
+    """{t in the other half : <t, w> = 0 for all w in W}, for W inside S_half.
 
-    char = 0
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
+    The pairing is a signed permutation of the coordinates, so the
+    functional <., w> is w itself with its coordinates moved and signed.
+    """
+    field = W.field
+    if W.dim == 0:
+        return Subspace.full(field, DIM_S)
+    partner = _PARTNER[half]
+    rows = []
+    for w in W.basis:
+        row = [field.zero] * DIM_S
+        for i, x in enumerate(w):
+            j, sign = partner[i]
+            row[j] = x if sign > 0 else field.neg(x)
+        rows.append(row)
+    return Subspace(field, DIM_S, kernel_basis(field, mat(rows)))
 
 
-ZZ = _ZZ()
-
-
-def _mu_matrices(variant: str, half: str):
+def _mu_matrices(half: str):
     """Integer 16x16 coefficient matrices of the 10 coordinates of mu.
 
     Coordinate order matches VecV: a1..a5 (from <f_j . s, s>) then b1..b5
-    (from <e_j . s, s>).  mu_w(s) = s^T C_w s as a polynomial identity over
-    the integers, hence valid after reduction in any characteristic.
+    (from <e_j . s, s>).  Row i of the bilinear matrix of <w . s, s> has one
+    entry: w . b_i = sigma b_t, and b_t pairs only with its partner b_j, with
+    sign eps.  Folded to upper-triangular form it is twice a primitive
+    integral quadric; only the halved model cuts the variety in
+    characteristic 2, and mu_w(s) = s^T C_w s holds in every characteristic.
     """
-    basis = [
-        tuple(1 if k == idx else 0 for k in range(DIM_S)) for idx in range(DIM_S)
-    ]
-    ws = [basis_f(ZZ, j) for j in range(1, 6)] + [basis_e(ZZ, j) for j in range(1, 6)]
+    partner = _PARTNER[other_half(half)]
     mats = []
-    for w in ws:
-        images = [clifford_mul(ZZ, w, b, half) for b in basis]
-        if half == PLUS:
-            m = [
-                [_pairing_with(variant, ZZ, images[i], basis[j]) for j in range(DIM_S)]
-                for i in range(DIM_S)
-            ]
-        else:
-            m = [
-                [_pairing_with(variant, ZZ, basis[i], images[j]) for j in range(DIM_S)]
-                for i in range(DIM_S)
-            ]
-        # fold into an upper-triangular polynomial coefficient matrix, then
-        # divide by 2: <v.s, s> is twice a primitive integral quadric (the
-        # bilinear matrix m is symmetric with even diagonal), and only the
-        # primitive model cuts the variety in characteristic 2
-        c = [[0] * DIM_S for _ in range(DIM_S)]
-        for i in range(DIM_S):
-            assert m[i][i] % 2 == 0
-            c[i][i] = m[i][i] // 2
-            for j in range(i + 1, DIM_S):
-                t = m[i][j] + m[j][i]
-                assert t % 2 == 0
-                c[i][j] = t // 2
-        mats.append(tuple(tuple(row) for row in c))
+    for table in (F_TABLE, E_TABLE):
+        for action in table[half]:
+            c = [[0] * DIM_S for _ in range(DIM_S)]
+            for i, hit in enumerate(action):
+                if hit:
+                    t, sigma = hit
+                    j, eps = partner[t]
+                    c[min(i, j)][max(i, j)] += sigma * eps
+            mats.append(tuple(tuple(x // 2 for x in row) for row in c))
     return tuple(mats)
+
+
+MU_INT = {h: _mu_matrices(h) for h in (PLUS, MINUS)}
 
 
 def eval_quadratic(field: Field, coeff, coords):
@@ -241,42 +231,6 @@ def eval_quadratic(field: Field, coeff, coords):
                 term = field.mul(field.mul(xi, coords[j]), field.from_int(ci[j]))
                 acc = field.add(acc, term)
     return acc
-
-
-def _spinor(subsets_coeffs, half):
-    s = [0] * DIM_S
-    for subset, c in subsets_coeffs:
-        s[SUBSET_INDEX[half][subset]] = c
-    return tuple(s)
-
-
-def _calibrate():
-    """Pin the pairing variant: mu must vanish on the pure witnesses 1 and
-    e12 and not on 1 + e1234 (whose annihilator is the line <f5>)."""
-    one = _spinor([((), 1)], PLUS)
-    e12 = _spinor([((1, 2), 1)], PLUS)
-    witness = _spinor([((), 1), ((1, 2, 3, 4), 1)], PLUS)
-    for variant in ("reversal", "involution"):
-        mats = _mu_matrices(variant, PLUS)
-        mu = lambda s: [sum(r[j] * s[i] * s[j] for i, r in enumerate(m) for j in range(DIM_S)) for m in mats]
-        vals = [
-            all(x == 0 for x in mu(one)),
-            all(x == 0 for x in mu(e12)),
-            any(x != 0 for x in mu(witness)),
-        ]
-        if all(vals):
-            return variant
-    raise AssertionError("pairing calibration failed for both variants")
-
-
-PAIRING_VARIANT = _calibrate()
-PAIR_TERMS = _PAIR_TERMS[PAIRING_VARIANT]
-MU_INT = {h: _mu_matrices(PAIRING_VARIANT, h) for h in (PLUS, MINUS)}
-
-
-def pairing(field: Field, t_coords, s_coords):
-    """Duality pairing <t, s> with t in S-, s in S+."""
-    return _pairing_with(PAIRING_VARIANT, field, t_coords, s_coords)
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,8 @@ def count_section_points(
     field = K.field
     if not isinstance(field, PrimeField):
         raise ValueError("counting needs a prime field")
+    if m < 1:
+        raise ValueError(f"extension degree must be at least 1, got {m}")
     q = field.p
     forms, d = _section_forms_and_dim(K, side)
     if d == 0:

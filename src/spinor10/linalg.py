@@ -10,12 +10,18 @@ from __future__ import annotations
 from .fields import Field
 
 
+class InvariantError(RuntimeError):
+    """A mathematical invariant of a construction failed: a bug, not bad input."""
+
+
+def check_invariant(holds: bool, message: str):
+    """Raise InvariantError(message) unless `holds`; unlike assert, never stripped."""
+    if not holds:
+        raise InvariantError(message)
+
+
 def mat(rows):
     return tuple(tuple(r) for r in rows)
-
-
-def zero_matrix(field: Field, rows: int, cols: int):
-    return tuple((field.zero,) * cols for _ in range(rows))
 
 
 def identity_matrix(field: Field, n: int):
@@ -217,9 +223,6 @@ class SymBilinearForm:
 
     def corank(self) -> int:
         return self.ambient_dim - self.rank()
-
-    def radical(self) -> Subspace:
-        return Subspace(self.field, self.ambient_dim, kernel_basis(self.field, self.gram))
 
     def __repr__(self):
         return f"SymBilinearForm(dim {self.ambient_dim})"

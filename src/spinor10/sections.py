@@ -9,11 +9,12 @@ import math
 import random
 from dataclasses import dataclass
 
-from .clifford import DIM_S, DIM_V, MINUS, PLUS, bV, pairing, qV
+from .clifford import DIM_S, DIM_V, MINUS, PLUS, bV, pairing_orthogonal, qV
 from .fields import Field, PrimeField, RationalField, get_ext_field
 from .gamma import coords_in, gamma, rho, rho_form
-from .linalg import Subspace, SymBilinearForm, kernel_basis, mat, mat_vec, transpose
+from .linalg import Subspace, SymBilinearForm, check_invariant, mat_vec, transpose
 from .scan import ext_zero_locus, find_first_zero, num_projective_points
+from .spaces import span_pi4
 from .variety import (
     MU_INT,
     annihilator_kernel,
@@ -33,38 +34,14 @@ REDUCTION_PRIMES = (3, 5, 7)
 MAX_TRIES = 200
 
 
-def _pairing_rows(field: Field, vectors_minus):
-    """Rows of functionals s -> <kappa, s> on S+ for each kappa given."""
-    basis_plus = [
-        tuple(field.one if k == i else field.zero for k in range(DIM_S))
-        for i in range(DIM_S)
-    ]
-    return [
-        tuple(pairing(field, kappa, b) for b in basis_plus) for kappa in vectors_minus
-    ]
-
-
 def perp_in_plus(K: Subspace) -> Subspace:
-    """K^perp inside S+ under the duality pairing."""
-    field = K.field
-    if K.dim == 0:
-        return Subspace.full(field, DIM_S)
-    return Subspace(field, DIM_S, kernel_basis(field, mat(_pairing_rows(field, K.basis))))
+    """K^perp inside S+ under the duality pairing, for K inside S-."""
+    return pairing_orthogonal(K, MINUS)
 
 
 def perp_in_minus(W: Subspace) -> Subspace:
-    """{kappa in S- : <kappa, w> = 0 for all w in W}."""
-    field = W.field
-    if W.dim == 0:
-        return Subspace.full(field, DIM_S)
-    basis_minus = [
-        tuple(field.one if k == i else field.zero for k in range(DIM_S))
-        for i in range(DIM_S)
-    ]
-    rows = [
-        tuple(pairing(field, b, w) for b in basis_minus) for w in W.basis
-    ]
-    return Subspace(field, DIM_S, kernel_basis(field, mat(rows)))
+    """{kappa in S- : <kappa, w> = 0 for all w in W}, for W inside S+."""
+    return pairing_orthogonal(W, PLUS)
 
 
 @dataclass(frozen=True)
@@ -76,7 +53,7 @@ class SectionK:
     @classmethod
     def make(cls, K: Subspace) -> "SectionK":
         kp = perp_in_plus(K)
-        assert kp.dim == DIM_S - K.dim
+        check_invariant(kp.dim == DIM_S - K.dim, "K^perp has dim 16 - k")
         return cls(K.field, K, kp)
 
     @property
@@ -86,7 +63,9 @@ class SectionK:
 
 @dataclass(frozen=True)
 class SmoothnessCertificate:
-    status: str  # "certified-singular" | "singular-mod-p" | "no-point-up-to-degree-M"
+    # "certified-singular" | "singular-mod-p" | "no-point-up-to-degree-M" |
+    # "not-scanned" (no degree, or over Q no reduction prime, was scanned)
+    status: str
     max_degree: int
     witness: tuple | None  # (prime, degree, point coefficients on the K basis)
     scanned: tuple
@@ -118,7 +97,8 @@ def _prime_smoothness_scan(K, q, max_degree, budget):
         if pt is not None:
             return ("certified-singular", (q, m, pt), tuple(scanned), tuple(skipped))
         scanned.append(m)
-    return ("no-point-up-to-degree-M", None, tuple(scanned), tuple(skipped))
+    status = "no-point-up-to-degree-M" if scanned else "not-scanned"
+    return (status, None, tuple(scanned), tuple(skipped))
 
 
 def smoothness_scan(
@@ -130,7 +110,8 @@ def smoothness_scan(
 
     For k <= 5 emptiness over the algebraic closure is equivalent to X_K
     smooth; the scan certifies emptiness only up to the given degree, and
-    levels whose point count exceeds the budget are skipped (recorded).
+    levels whose point count exceeds the budget are skipped (recorded).  A
+    scan that skips every level proves nothing and is "not-scanned".
     Over the rationals the scan runs over REDUCTION_PRIMES; a section is
     flagged singular-mod-p when every scanned prime exhibits a point.  That
     is modular evidence, not a proof that X_K itself is singular.
@@ -150,6 +131,9 @@ def smoothness_scan(
                 skipped.append(p)
                 continue
             status, wit, _, _ = _prime_smoothness_scan(Kp, p, max_degree, budget)
+            if status == "not-scanned":
+                skipped.append(p)
+                continue
             scanned.append(p)
             if status == "certified-singular":
                 hits.append(wit)
@@ -162,9 +146,8 @@ def smoothness_scan(
                 tuple(skipped),
                 notes="modular evidence at every scanned reduction prime",
             )
-        return SmoothnessCertificate(
-            "no-point-up-to-degree-M", max_degree, None, tuple(scanned), tuple(skipped)
-        )
+        status = "no-point-up-to-degree-M" if scanned else "not-scanned"
+        return SmoothnessCertificate(status, max_degree, None, tuple(scanned), tuple(skipped))
     raise ValueError("smoothness_scan needs a prime field or the rationals")
 
 
@@ -308,12 +291,9 @@ def w_u3(field: Field, u3: Subspace) -> Subspace:
     """W_{U3}: the span of the 4-space spans over the line L^-_{U3} in X^v.
 
     This is the 8-dim fiber of the resolution of the line complex; dim 8 is
-    asserted.
+    checked.
     """
-    from .spaces import span_pi4
-
-    T = annihilator_kernel(field, u3, MINUS)
-    assert T.dim == 2
+    T = annihilator_kernel(field, u3, MINUS)  # dim 2, checked there
     pts = []
     b0, b1 = T.basis
     pts.append(b0)
@@ -326,7 +306,7 @@ def w_u3(field: Field, u3: Subspace) -> Subspace:
     for p in pts:
         tau = witness_from_spinor(field, p, MINUS)
         w = w.sum(span_pi4(tau))
-    assert w.dim == 8
+    check_invariant(w.dim == 8, "W_{U3} has dim 8")
     return w
 
 
@@ -355,7 +335,13 @@ def make_section(
 
 
 def _smooth(K, max_degree, budget):
-    return smoothness_scan(K, max_degree, budget).smooth_so_far
+    cert = smoothness_scan(K, max_degree, budget)
+    if cert.status == "not-scanned":
+        # the skipped degrees depend only on (q, k, max_degree, budget)
+        raise ValueError(
+            f"budget {budget} scans no degree up to {max_degree}: smoothness cannot be checked"
+        )
+    return cert.smooth_so_far
 
 
 def _make_special(field, rng, max_degree, budget):
@@ -374,8 +360,6 @@ def _make_special(field, rng, max_degree, budget):
 
 
 def _make_very_special(field, rng, max_degree, budget):
-    from .spaces import span_pi4
-
     for _ in range(MAX_TRIES):
         tau = random_pure_witness(field, rng, MINUS)
         perp = perp_in_minus(span_pi4(tau))

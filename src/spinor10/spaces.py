@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clifford import DIM_S, DIM_V, MINUS, PLUS, clifford_mul, pairing, qV
+from .clifford import DIM_S, DIM_V, MINUS, PLUS, clifford_mul, pairing, pairing_orthogonal, qV, v_basis
 from .fields import Field, PrimeField
-from .linalg import Subspace, mat
+from .linalg import Subspace, check_invariant
 from .scan import zero_locus
 from .variety import (
     MU_INT,
@@ -37,7 +37,8 @@ class LinearSpaceOnX:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind}")
-        assert self.span.dim == _KINDS[self.kind][1]
+        dim = _KINDS[self.kind][1]
+        check_invariant(self.span.dim == dim, f"a {self.kind} on X spans dim {dim}")
 
 
 def line_on_x(field: Field, u3: Subspace) -> LinearSpaceOnX:
@@ -79,11 +80,9 @@ def span_pi4(tau: PureSpinorWitness) -> Subspace:
     if tau.half != MINUS:
         raise ValueError("need a minus-family pure spinor")
     field = tau.field
-    from .variety import _v_basis
-
-    rows = [clifford_mul(field, v, tau.spinor, MINUS) for v in _v_basis(field)]
+    rows = [clifford_mul(field, v, tau.spinor, MINUS) for v in v_basis(field)]
     span = Subspace(field, DIM_S, rows)
-    assert span.dim == 5
+    check_invariant(span.dim == 5, "span_pi4 has dim 5")
     return span
 
 
@@ -101,28 +100,12 @@ def _f4_constraint_space(K: Subspace) -> Subspace:
     """{tau in S- : <kappa, v . tau> = 0 for all kappa in K, v in V}.
 
     For pure tau this is exactly the condition span_pi4(tau) subset K^perp,
-    since span_pi4(tau) = V . tau.
+    since span_pi4(tau) = V . tau.  By the adjunction <kappa, v . tau> =
+    +-<tau, v . kappa> it is the orthogonal of V . K inside S-.
     """
     field = K.field
-    from .linalg import kernel_basis
-    from .variety import _v_basis
-
-    basis_minus = [
-        tuple(field.one if k == i else field.zero for k in range(DIM_S))
-        for i in range(DIM_S)
-    ]
-    rows = []
-    for kappa in K.basis:
-        for v in _v_basis(field):
-            rows.append(
-                tuple(
-                    pairing(field, kappa, clifford_mul(field, v, b, MINUS))
-                    for b in basis_minus
-                )
-            )
-    if not rows:
-        return Subspace.full(field, DIM_S)
-    return Subspace(field, DIM_S, kernel_basis(field, mat(rows)))
+    vk = [clifford_mul(field, v, kappa, MINUS) for kappa in K.basis for v in v_basis(field)]
+    return pairing_orthogonal(Subspace(field, DIM_S, vk), PLUS)
 
 
 def f4_scan(K: Subspace):

@@ -13,15 +13,18 @@ from .clifford import (
     MINUS,
     MU_INT,
     PLUS,
-    basis_e,
     basis_f,
     bV,
     clifford_mul,
     eval_quadratic,
     qV,
+    v_basis,
 )
 from .fields import Field
-from .linalg import Subspace, SymBilinearForm, kernel_basis, mat, mat_mul, mat_vec, rref, transpose
+from .linalg import (
+    Subspace, SymBilinearForm, check_invariant, identity_matrix, kernel_basis, mat, mat_mul,
+    mat_vec, rref, transpose,
+)
 
 
 def mu(field: Field, coords, half: str):
@@ -35,24 +38,11 @@ def is_pure(field: Field, coords, half: str) -> bool:
     )
 
 
-def _basis_spinors(field):
-    return [
-        tuple(field.one if k == i else field.zero for k in range(DIM_S))
-        for i in range(DIM_S)
-    ]
-
-
-def _v_basis(field):
-    return [basis_e(field, i) for i in range(1, 6)] + [
-        basis_f(field, i) for i in range(1, 6)
-    ]
-
-
 def annihilator(field: Field, coords, half: str) -> Subspace:
     """{v in V : v . s = 0}; dim 5 iff s is pure."""
     if all(c == field.zero for c in coords):
         raise ValueError("zero spinor has no annihilator")
-    images = [clifford_mul(field, v, coords, half) for v in _v_basis(field)]
+    images = [clifford_mul(field, v, coords, half) for v in v_basis(field)]
     # columns = images; kernel in V
     m = transpose(mat(images))
     return Subspace(field, DIM_V, kernel_basis(field, m))
@@ -72,17 +62,15 @@ def annihilator_kernel(field: Field, u: Subspace, half: str) -> Subspace:
     """{s in S_half : w . s = 0 for all w in U}; dim = 2^(4 - dim U)."""
     if not 1 <= u.dim <= 5 or not is_isotropic(field, u):
         raise ValueError("U must be isotropic of dimension 1..5")
-    basis = _basis_spinors(field)
+    units = identity_matrix(field, DIM_S)
     rows = []
     for w in u.basis:
-        cols = [clifford_mul(field, w, b, half) for b in basis]
+        cols = [clifford_mul(field, w, b, half) for b in units]
         rows.extend(transpose(mat(cols)))
     ker = Subspace(field, DIM_S, kernel_basis(field, mat(rows)))
-    if u.dim <= 4:
-        assert ker.dim == 2 ** (4 - u.dim)
-    else:
-        # maximal isotropic: the spinor line in the matching half, 0 in the other
-        assert ker.dim <= 1
+    # a maximal isotropic U has the spinor line in its half and 0 in the other
+    holds = ker.dim == 2 ** (4 - u.dim) if u.dim <= 4 else ker.dim <= 1
+    check_invariant(holds, "annihilator kernel has the wrong dimension")
     return ker
 
 
@@ -107,7 +95,7 @@ class PureSpinorWitness:
     annihilator: Subspace
 
     def __post_init__(self):
-        assert self.annihilator.dim == 5
+        check_invariant(self.annihilator.dim == 5, "a pure spinor's annihilator has dim 5")
 
 
 def witness_from_isotropic5(field: Field, w: Subspace) -> PureSpinorWitness:
@@ -115,7 +103,7 @@ def witness_from_isotropic5(field: Field, w: Subspace) -> PureSpinorWitness:
         raise ValueError("need a maximal isotropic subspace")
     half = half_of_maximal_isotropic(field, w)
     line = annihilator_kernel(field, w, half)
-    assert line.dim == 1
+    check_invariant(line.dim == 1, "a maximal isotropic has one spinor line")
     return PureSpinorWitness(field, half, line.basis[0], w)
 
 
@@ -136,7 +124,7 @@ def extend_isotropic4(field: Field, u4: Subspace):
         line = annihilator_kernel(field, u4, half)
         s = line.basis[0]
         ann = annihilator(field, s, half)
-        assert ann.dim == 5 and ann.contains_subspace(u4)
+        check_invariant(ann.dim == 5 and ann.contains_subspace(u4), "bad maximal extension")
         out[half] = PureSpinorWitness(field, half, s, ann)
     return out[PLUS], out[MINUS]
 
@@ -193,15 +181,14 @@ def phi_v(field: Field, v, half: str) -> SpinorEightSpace:
     if qV(field, v) != field.zero or all(c == field.zero for c in v):
         raise ValueError("v must be nonzero isotropic")
     vline = Subspace(field, DIM_V, [v])
-    space = annihilator_kernel(field, vline, half)
-    assert space.dim == 8
+    space = annihilator_kernel(field, vline, half)  # dim 8, checked there
     restricted = [restrict_quadric(field, c, space.basis) for c in MU_INT[half]]
     # the ten restricted quadrics must span a rank-1 system
     vecs = []
     for r in restricted:
         vecs.append(tuple(r[i][j] for i in range(8) for j in range(i, 8)))
     _, rank, _ = rref(field, mat(vecs))
-    assert rank == 1, "restricted quadrics do not form a rank-1 system"
+    check_invariant(rank == 1, "restricted quadrics do not form a rank-1 system")
     poly = next(
         r for r in restricted if any(any(x != field.zero for x in row) for row in r)
     )
@@ -252,7 +239,7 @@ def random_maximal_isotropic(field: Field, rng, half: str = None) -> Subspace:
         for k in swaps:
             r[k], r[5 + k] = r[5 + k], r[k]
     w = Subspace(field, DIM_V, rows)
-    assert w.dim == 5 and is_isotropic(field, w)
+    check_invariant(w.dim == 5 and is_isotropic(field, w), "not a maximal isotropic")
     return w
 
 

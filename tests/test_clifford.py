@@ -7,7 +7,10 @@ from spinor10.clifford import (
     HalfSpinor,
     MINUS,
     PLUS,
+    MINUS_SUBSETS,
+    MU_INT,
     PLUS_SUBSETS,
+    SUBSET_INDEX,
     bV,
     basis_e,
     basis_f,
@@ -15,7 +18,8 @@ from spinor10.clifford import (
     pairing,
     qV,
 )
-from spinor10.linalg import mat, rref
+from spinor10.linalg import identity_matrix, mat, rref
+from spinor10.variety import is_pure, mu
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -146,5 +150,43 @@ def test_adjunction_global_sign():
     assert eps is not None
 
 
-def test_pairing_variant_recorded():
-    assert cl.PAIRING_VARIANT in ("reversal", "involution")
+def test_mu_vanishes_on_pure_witnesses_and_not_on_a_mixed_spinor():
+    # the conditions that pin the pairing's sign convention: 1 and e12 are
+    # pure, 1 + e1234 is not (its annihilator is the line <f5>)
+    for field in (F2, F3, F5, QQ):
+        assert is_pure(field, spin(field, PLUS, ()), PLUS)
+        assert is_pure(field, spin(field, PLUS, (1, 2)), PLUS)
+        assert any(x != field.zero for x in mu(field, spin(field, PLUS, (), (1, 2, 3, 4)), PLUS))
+
+
+def test_pair_terms_read_the_top_coefficient_of_rev_t_wedge_s():
+    top = SUBSET_INDEX[MINUS][(1, 2, 3, 4, 5)]
+    units = identity_matrix(QQ, DIM_S)
+    for t, b_t in zip(MINUS_SUBSETS, units):
+        for s in units:
+            # rev(e_t) ^ s = e_{t_d} ^ ... ^ e_{t_1} ^ s: apply e_{t_1} first
+            x, half = s, PLUS
+            for i in t:
+                x, half = clifford_mul(QQ, basis_e(QQ, i), x, half), cl.other_half(half)
+            assert pairing(QQ, b_t, s) == x[top]
+
+
+def test_mu_int_is_the_halved_fold_of_the_pairing_matrix():
+    units = identity_matrix(QQ, DIM_S)
+    ws = [basis_f(QQ, j) for j in range(1, 6)] + [basis_e(QQ, j) for j in range(1, 6)]
+    for half in (PLUS, MINUS):
+        mats = []
+        for w in ws:
+            images = [clifford_mul(QQ, w, b, half) for b in units]
+            if half == PLUS:
+                m = [[pairing(QQ, images[i], units[j]) for j in range(DIM_S)] for i in range(DIM_S)]
+            else:
+                m = [[pairing(QQ, units[i], images[j]) for j in range(DIM_S)] for i in range(DIM_S)]
+            c = [[0] * DIM_S for _ in range(DIM_S)]
+            for i in range(DIM_S):
+                for j in range(i, DIM_S):
+                    t = m[i][i] if i == j else m[i][j] + m[j][i]
+                    assert t % 2 == 0  # <w.s, s> is twice an integral quadric
+                    c[i][j] = int(t) // 2
+            mats.append(tuple(map(tuple, c)))
+        assert MU_INT[half] == tuple(mats)

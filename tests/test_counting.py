@@ -81,6 +81,13 @@ def test_budget_error():
         count_section_points(K0, "X", 4, budget=1000)
 
 
+def test_extension_degree_below_one_is_refused():
+    K0 = Subspace(F2, DIM_S, [])
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="extension degree"):
+            count_section_points(K0, "X", m)
+
+
 def test_counts_smooth_sections_f2():
     for k in (1, 2, 3, 4, 5):
         s = make_section(f"generic-{k}", F2, seed=k)

@@ -330,6 +330,39 @@ def test_cli_classify_honours_explicit_ext_degree(tmp_path, capsys, monkeypatch)
     assert default == explicit == "k: 2\nlabel: nonspecial\nsmoothness: no-point-up-to-degree-M\nnotes: \n"
 
 
+def test_cli_range_checked_flags_are_usage_errors(capsys):
+    for argv in (
+        ["count", "--field", "2", "--k", "1", "--ext-degree", "0"],
+        ["count", "--field", "2", "--workers", "0"],
+        ["count", "--field", "2", "--workers", "-3"],
+        ["count", "--field", "2", "--budget", "-1"],
+        ["verify", "motive", "--workers", "0"],
+        ["verify", "k6", "--sections", "0"],
+        ["classify", "--scene", "s.json", "--ext-degree", "0"],
+        ["make-section", "--kind", "special", "--budget", "-5"],
+    ):
+        code, err = exit_code(argv, capsys)
+        assert code == 2, argv
+        assert "must be at least" in err and "Traceback" not in err, argv
+    code, err = exit_code(["count", "--workers", "two"], capsys)
+    assert code == 2 and "invalid int value: 'two'" in err
+
+
+def test_cli_budget_that_scans_nothing_certifies_nothing(tmp_path, capsys):
+    # a pencil through the pure spinor e1 over F_3: X_K is singular
+    pure = HalfSpinor.from_subsets(PrimeField(3), MINUS, [((1,), 1)]).coords
+    other = HalfSpinor.from_subsets(PrimeField(3), MINUS, [((2,), 1), ((3, 4, 5), 1)]).coords
+    p = tmp_path / "pencil.json"
+    p.write_text(emit_scene(Scene(PrimeField(3), 0, (SceneObject("K", "section", (pure, other)),))))
+    code, out, _ = run_cli(["classify", "--scene", str(p)], capsys)
+    assert code == 0 and "smoothness: certified-singular" in out
+    code, out, _ = run_cli(["classify", "--scene", str(p), "--budget", "0"], capsys)
+    assert code == 0 and "smoothness: not-scanned" in out
+    argv = ["make-section", "--kind", "generic-2", "--field", "3", "--budget", "0"]
+    code, err = exit_code(argv, capsys)
+    assert code == 2 and err.startswith("error: budget 0 scans no degree")
+
+
 def test_cli_entry_point_subprocess():
     out = subprocess.run(
         [sys.executable, "-m", "spinor10.cli", "count", "--field", "2", "--k", "0"],

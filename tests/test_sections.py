@@ -2,22 +2,23 @@ import random
 
 import pytest
 
-from spinor10.clifford import DIM_S, HalfSpinor, MINUS
+from spinor10.clifford import DIM_S, HalfSpinor, MINUS, PLUS, clifford_mul, pairing, v_basis
 from spinor10.fields import PrimeField, QQ
 from spinor10.gamma import r_kappa_form, rho
-from spinor10.linalg import Subspace, mat_vec, transpose
+from spinor10.linalg import Subspace, identity_matrix, kernel_basis, mat, mat_vec, transpose
 from spinor10.sections import (
     NonTransversalError,
     SectionK,
     classify,
     make_section,
+    perp_in_minus,
     perp_in_plus,
     q_kappa_K,
     smoothness_scan,
     w_u3,
 )
-from spinor10.spaces import f4_scan
-from spinor10.variety import is_pure, random_isotropic, random_spinor
+from spinor10.spaces import _f4_constraint_space, f4_scan
+from spinor10.variety import is_pure, random_isotropic, random_pure_witness, random_spinor
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -68,6 +69,47 @@ def test_smoothness_scan_dim2_high_degree():
         assert cert.status in ("certified-singular", "no-point-up-to-degree-M")
         found += 1
     assert found
+
+
+def _kernel(field, rows):
+    return Subspace(field, DIM_S, kernel_basis(field, mat(rows)) if rows else identity_matrix(field, DIM_S))
+
+
+def test_orthogonals_match_kernels_of_scalar_pairing_rows():
+    # the reference builds every row entry by one scalar pairing call
+    rng = random.Random(11)
+    for field in (F2, F3, F5, QQ):
+        units = identity_matrix(field, DIM_S)
+        for k in (0, 1, 2, 3, 4, 5):
+            K = Subspace(field, DIM_S, [random_spinor(field, rng, MINUS) for _ in range(k)])
+            W = Subspace(field, DIM_S, [random_spinor(field, rng, PLUS) for _ in range(k)])
+            plus = [[pairing(field, kappa, b) for b in units] for kappa in K.basis]
+            minus = [[pairing(field, b, w) for b in units] for w in W.basis]
+            f4 = [
+                [pairing(field, kappa, clifford_mul(field, v, b, MINUS)) for b in units]
+                for kappa in K.basis
+                for v in v_basis(field)
+            ]
+            assert perp_in_plus(K) == _kernel(field, plus)
+            assert perp_in_minus(W) == _kernel(field, minus)
+            assert _f4_constraint_space(K) == _kernel(field, f4)
+
+
+def test_a_scan_that_skips_every_degree_certifies_nothing():
+    # a pencil through a pure spinor: X_K is singular
+    rng = random.Random(4)
+    tau = random_pure_witness(F3, rng, MINUS).spinor
+    K = Subspace(F3, DIM_S, [tau, random_spinor(F3, rng, MINUS)])
+    assert smoothness_scan(K).status == "certified-singular"
+    for cert in (smoothness_scan(K, budget=0), smoothness_scan(K, max_degree=0)):
+        assert cert.status == "not-scanned" and not cert.smooth_so_far
+        assert cert.scanned == () and cert.witness is None
+    assert classify(K, budget=0).smoothness.status == "not-scanned"
+    cert = smoothness_scan(Subspace(QQ, DIM_S, [smooth_kappa(QQ)]), budget=0)
+    assert (cert.status, cert.scanned, cert.skipped) == ("not-scanned", (), (3, 5, 7))
+    for kind in ("special", "very-special", "generic-2"):
+        with pytest.raises(ValueError, match="scans no degree"):
+            make_section(kind, F3, seed=1, budget=0)
 
 
 def test_smoothness_scan_rationals():

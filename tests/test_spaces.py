@@ -12,7 +12,7 @@ from spinor10.clifford import (
     basis_f,
 )
 from spinor10.fields import PrimeField, QQ
-from spinor10.linalg import Subspace
+from spinor10.linalg import InvariantError, Subspace
 from spinor10.spaces import (
     LinearSpaceOnX,
     contains,
@@ -118,6 +118,14 @@ def test_linear_space_span_dims():
     # every pure spinor sampled from spans lies on X (spot check on the line)
     for s in line.span.basis:
         assert is_pure(field, s, PLUS)
+
+
+def test_a_linear_space_of_the_wrong_dimension_raises_invariant_error():
+    u3 = random_isotropic(F3, random.Random(5), 3)
+    one = Subspace(F3, DIM_S, [spin(F3, PLUS, ())])
+    with pytest.raises(InvariantError, match="line on X spans dim 2"):
+        LinearSpaceOnX("line", (u3,), one)
+    assert issubclass(InvariantError, RuntimeError)
 
 
 def test_contains_trivial():
