@@ -14,6 +14,8 @@ spinors 1 and e12 and not on 1 + e1234).  Each basis vector of V acts as a
 signed partial permutation of the basis (`E_TABLE`, `F_TABLE`) and the
 pairing is a signed permutation (`PAIR_TERMS`), so the quadrics mu
 (`MU_INT`) and every orthogonal under the pairing are read off these tables.
+So are the 16 affine charts of X: the big cell s(A) = (1, a_ij, Pf_ijkl(A))
+(`PFAFFIAN_TERMS`) moved by the signed permutations g_c (`CHARTS`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fields import Field
-from .linalg import Subspace, kernel_basis, mat
+from .linalg import Subspace, check_invariant, kernel_basis, mat
 
 PLUS, MINUS = "+", "-"
 
@@ -172,15 +174,12 @@ def pairing(field: Field, t_coords, s_coords):
     return acc
 
 
-def pairing_orthogonal(W: Subspace, half: str) -> Subspace:
-    """{t in the other half : <t, w> = 0 for all w in W}, for W inside S_half.
-
-    The pairing is a signed permutation of the coordinates, so the
-    functional <., w> is w itself with its coordinates moved and signed.
-    """
+def pairing_rows(W: Subspace, half: str):
+    """The functionals <., w> on the other half, one row per basis vector w
+    of W inside S_half.  The pairing is a signed permutation of the
+    coordinates, so each row is w itself with its coordinates moved and
+    signed."""
     field = W.field
-    if W.dim == 0:
-        return Subspace.full(field, DIM_S)
     partner = _PARTNER[half]
     rows = []
     for w in W.basis:
@@ -189,7 +188,56 @@ def pairing_orthogonal(W: Subspace, half: str) -> Subspace:
             j, sign = partner[i]
             row[j] = x if sign > 0 else field.neg(x)
         rows.append(row)
-    return Subspace(field, DIM_S, kernel_basis(field, mat(rows)))
+    return mat(rows)
+
+
+def pairing_orthogonal(W: Subspace, half: str) -> Subspace:
+    """{t in the other half : <t, w> = 0 for all w in W}, for W inside S_half."""
+    if W.dim == 0:
+        return Subspace.full(W.field, DIM_S)
+    return Subspace(W.field, DIM_S, kernel_basis(W.field, pairing_rows(W, half)))
+
+
+def _charts():
+    """g_c = prod (e_i + f_i) over i in the subset T_c of each S+ coordinate
+    c, as a signed permutation: g_c b_S = sign b_{S ^ T_c}.  Each factor is
+    a wedge or a contraction on each basis spinor, never both, and |T_c| is
+    even, so g_c maps S+ to itself and X onto X, and g_c . 1 = +-b_{T_c}."""
+    charts = []
+    for c, subset in enumerate(PLUS_SUBSETS):
+        perm, half = [(i, 1) for i in range(DIM_S)], PLUS
+        for i in subset:
+            hits = [E_TABLE[half][i - 1][j] or F_TABLE[half][i - 1][j] for j, _ in perm]
+            perm = [(j, sign * s) for (j, s), (_, sign) in zip(hits, perm)]
+            half = other_half(half)
+        check_invariant(
+            perm[0][0] == c and len({j for j, _ in perm}) == DIM_S,
+            f"g_{c} permutes S+ and takes 1 to the coordinate {c}",
+        )
+        charts.append(tuple(perm))
+    return tuple(charts)
+
+
+CHARTS = _charts()
+
+
+def _pfaffian_terms():
+    """Pf_ijkl(A) = a_ij a_kl - a_ik a_jl + a_il a_jk, keyed by the S+ index
+    of {i, j, k, l}, as (sign, index of one pair, index of the other)."""
+    idx = SUBSET_INDEX[PLUS]
+    return {
+        idx[(i, j, k, l)]: (
+            (1, idx[(i, j)], idx[(k, l)]),
+            (-1, idx[(i, k)], idx[(j, l)]),
+            (1, idx[(i, l)], idx[(j, k)]),
+        )
+        for i, j, k, l in combinations(range(1, 6), 4)
+    }
+
+
+# The big cell of X: s(A) = exp(sum a_ij e_i e_j) . 1 = (1, a_ij, Pf_ijkl(A))
+# for A alternating 5x5, with no further signs in these coordinates.
+PFAFFIAN_TERMS = _pfaffian_terms()
 
 
 def _mu_matrices(half: str):

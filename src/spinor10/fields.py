@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 MAX_PRIME = 1 << 16
 MAX_EXT_ORDER = 1 << 16
 
@@ -302,16 +304,23 @@ class ExtField(Field):
                 for ell in factors
             )
         )
-        exp = [0] * (q - 1)
-        log = [0] * q
-        cur = [1] + [0] * (self.m - 1)
-        for i in range(q - 1):
-            code = self._encode(cur)
-            exp[i] = code
-            log[code] = i
-            cur = _poly_mulmod(cur, gen, modulus, p)
-        self.exp_table = exp
-        self.log_table = log
+        # the digit vectors of gen^0, gen^1, ... in blocks: doubled to at
+        # most 1024 rows, then each block is the last times gen^len(block),
+        # all through the F_p-matrix of multiplication by gen (row t: gen x^t)
+        step = np.array([_poly_mulmod([0] * t + [1], gen, modulus, p) for t in range(self.m)])
+        block = np.eye(1, self.m, dtype=np.int64)
+        while len(block) < min(q - 1, 1024):
+            block = np.concatenate((block, block @ step % p))
+            step = step @ step % p
+        weights = p ** np.arange(self.m)
+        exp = np.empty(q - 1, dtype=np.int64)
+        for lo in range(0, q - 1, len(block)):
+            exp[lo : lo + len(block)] = (block @ weights)[: q - 1 - lo]
+            block = block @ step % p
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        self.exp_table = exp.tolist()
+        self.log_table = log.tolist()
 
     def add(self, a, b):
         if self.p == 2:

@@ -11,6 +11,10 @@ t = 0..q-1, in that order.  On a prefix the first form is a t^2 + b t + c
 with a constant, so its roots are solved for a whole block of prefixes at
 once, and only the (prefix, root) candidates, in (prefix, t) order, go
 through the other forms.
+
+The same field tables solve batches of small linear systems over F_q
+(`fibre_sizes`, `affine_fibre_count`): the fibres of the chart counts in
+`counting`.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 BLOCK = 1 << 14
+FIBRE_BLOCK = BLOCK // 4
 
 
 def num_projective_points(q: int, d: int) -> int:
@@ -107,8 +112,8 @@ def _in_block_order(blocks, fn, workers):
 class _Solver:
     """Roots of a t^2 + b t + c over one field, vectorized over rows.
 
-    A subclass supplies q, p and elementwise mul / add on field codes (p - 1
-    is the code of -1).  The tables are built on first use.
+    A subclass supplies q = p^m, p, m and elementwise mul / add on field
+    codes (p - 1 is the code of -1).  The tables are built on first use.
     """
 
     def neg(self, a):
@@ -124,6 +129,11 @@ class _Solver:
             base, e = self.mul(base, base), e >> 1
         out[0] = 0
         return out
+
+    @cached_property
+    def digits(self):
+        """(m, q) floats: digits[t, a] is the t-th base-p digit of code a."""
+        return np.arange(self.q) // self.p ** np.arange(self.m)[:, None] % self.p * 1.0
 
     @cached_property
     def sqrt(self):
@@ -260,6 +270,7 @@ class PrimeTables(_Solver):
 
     def __init__(self, p):
         self.q = self.p = p
+        self.m = 1
 
     def mul(self, a, b):
         return a * b % self.p
@@ -317,7 +328,7 @@ class ExtTables(_Solver):
     def __init__(self, ext):
         q = ext.q
         self.ext = ext
-        self.q, self.p = q, ext.p
+        self.q, self.p, self.m = q, ext.p, ext.m
         self.zero = 3 * (q - 1)
         self.log = np.full(q, self.zero, dtype=np.int64)
         self.log[np.asarray(ext.exp_table, dtype=np.int64)] = np.arange(q - 1)
@@ -386,3 +397,61 @@ def ext_zero_locus(forms, ext, d: int, *, find_first: bool = False, workers: int
     terms = [tables.compile(c) for c in forms] or [[]]
     mode = "first" if find_first else "count"
     return _scan(tables, d, np.int64, terms, mode, workers)
+
+
+def _fp_map(tables, v, a):
+    """v @ a for (n, r) field codes v and an (r, c) int matrix a over F_p.
+    An F_p-linear map acts on each base-p digit of the codes alone, and a
+    float64 product of digits is exact: r (p - 1)^2 < 2^53."""
+    p, af = tables.p, a.astype(np.float64)
+    out = np.zeros((len(v), a.shape[1]), dtype=np.int64)
+    for t, digits in enumerate(tables.digits):
+        out += (digits.take(v) @ af).astype(np.int64) % p * p**t
+    return out
+
+
+def fibre_sizes(tables, e):
+    """#{a in F_q^u : e_i [a, 1] = 0} for each system e_i of an (n, rows,
+    u + 1) array of field codes: q^(u - rank), or 0 when inconsistent.
+
+    Column j is eliminated on every system at once with its first row that
+    is nonzero there; that row cancels itself, so after the last column
+    only the constants of the rows off the pivots are left, all 0 exactly
+    when the system is consistent."""
+    e = np.array(e, dtype=np.int64)
+    n, u = len(e), e.shape[2] - 1
+    at = np.arange(n)
+    rank = np.zeros(n, dtype=np.int64)
+    for j in range(u):
+        col = e[:, :, j]
+        head = e[at, (col != 0).argmax(axis=1)]
+        rank += head[:, j] != 0
+        # e_i -= e_ij / h_j * h on the columns not yet eliminated
+        head = tables.mul(head[:, j + 1 :], tables.neg(tables.inv[head[:, j]])[:, None])
+        e[:, :, j + 1 :] = tables.add(e[:, :, j + 1 :], tables.mul(col[:, :, None], head[:, None, :]))
+    ok = ~e[:, :, u].any(axis=1)
+    return np.where(ok, tables.q ** (u - rank), 0)
+
+
+def affine_fibre_count(field, free: int, pmap, products, gamma) -> int:
+    """Sum of `fibre_sizes` over x = [t, 1] @ pmap for t in F_q^free, over
+    F_p (field the prime p) or F_{p^m} (field an ExtField).
+
+    The fibre over x is the linear system whose rows, flattened, are
+    phi(x) @ gamma, with phi(x) = [x, x_i x_j for (i, j) in products, 1]:
+    coefficients and constants that are F_p-polynomials in x.  The t are
+    taken in blocks of FIBRE_BLOCK, which bounds the arrays of a block by
+    about 1 MB each.
+    """
+    tables = _prime_tables(field) if isinstance(field, int) else _tables_for(field)
+    q, total = tables.q, 0
+    shape = (-1, gamma.shape[1] // 4, 4)
+    for lo in range(0, q**free, FIBRE_BLOCK):
+        idx = np.arange(lo, min(lo + FIBRE_BLOCK, q**free), dtype=np.int64)
+        ones = np.ones((len(idx), 1), dtype=np.int64)
+        t = [idx // q ** (free - 1 - i) % q for i in range(free)]
+        x = _fp_map(tables, np.column_stack(t + [ones]), pmap)
+        prods = [tables.mul(x[:, i], x[:, j]) for i, j in products]
+        phi = np.column_stack([x] + prods + [ones])
+        total += int(fibre_sizes(tables, _fp_map(tables, phi, gamma).reshape(shape)).sum())
+    return total

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinor10.fields import ExtField, PrimeField, QQ, field_spec, is_prime
+from spinor10.fields import (
+    ExtField, PrimeField, QQ, _factor, _poly_mulmod, _poly_powmod, field_spec, is_prime,
+)
 from spinor10.linalg import (
     Subspace,
     SymBilinearForm,
@@ -195,6 +197,44 @@ def test_ext_field_arithmetic():
         # Frobenius fixes exactly the prime subfield
         fixed = [a for a in f.elements() if f.mul(a, _pow(f, a, p - 1)) == a and a]
         assert len([a for a in f.elements() if _pow(f, a, p ** m) == a]) == p ** m
+
+
+def stepped_tables(p, m):
+    """Reference exp/log tables: the first multiplicative generator in code
+    order, stepped through all q - 1 of its powers with _poly_mulmod."""
+    q = p**m
+    modulus = ExtField._find_irreducible(p, m)
+
+    def decode(a):
+        return [a // p**t % p for t in range(m)]
+
+    def encode(digits):
+        return sum(d * p**t for t, d in enumerate(digits))
+
+    gen = next(
+        cd
+        for cd in map(decode, range(1, q))
+        if all(encode(_poly_powmod(cd, (q - 1) // ell, modulus, p)) != 1 for ell in _factor(q - 1))
+    )
+    exp, log = [0] * (q - 1), [0] * q
+    cur = [1] + [0] * (m - 1)
+    for i in range(q - 1):
+        exp[i] = encode(cur)
+        log[exp[i]] = i
+        cur = _poly_mulmod(cur, gen, modulus, p)
+    return exp, log
+
+
+EXT_ORDERS = [
+    (p, m) for p in range(2, 65) if is_prime(p) for m in range(2, 13) if p**m <= 1 << 12
+] + [(2, 16), (2, 1), (3, 1), (251, 1)]
+
+
+@pytest.mark.parametrize("p, m", EXT_ORDERS)
+def test_ext_field_tables_equal_the_stepped_powers_of_the_generator(p, m):
+    f = ExtField(p, m)
+    assert (f.exp_table, f.log_table) == stepped_tables(p, m)
+    assert all(type(a) is int for a in f.exp_table + f.log_table)
 
 
 def _pow(f, a, e):
