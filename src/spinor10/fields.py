@@ -319,6 +319,8 @@ class ExtField(Field):
             block = block @ step % p
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
+        # numpy copies for the scan's tables, lists for scalar arithmetic
+        self.exp_array, self.log_array = exp, log
         self.exp_table = exp.tolist()
         self.log_table = log.tolist()
 

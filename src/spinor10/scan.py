@@ -330,10 +330,10 @@ class ExtTables(_Solver):
         self.ext = ext
         self.q, self.p, self.m = q, ext.p, ext.m
         self.zero = 3 * (q - 1)
-        self.log = np.full(q, self.zero, dtype=np.int64)
-        self.log[np.asarray(ext.exp_table, dtype=np.int64)] = np.arange(q - 1)
+        self.log = ext.log_array.copy()
+        self.log[0] = self.zero
         self.exp = np.zeros(2 * self.zero + q, dtype=np.int64)
-        self.exp[: self.zero] = np.tile(np.asarray(ext.exp_table, dtype=np.int64), 3)
+        self.exp[: self.zero] = np.tile(ext.exp_array, 3)
 
     def add(self, a, b):
         p = self.ext.p

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from spinor10.clifford import DIM_S, MINUS
+from spinor10 import counting
+from spinor10.clifford import DIM_S, HalfSpinor, MINUS
 from spinor10.counting import (
     BudgetExceededError,
     CountReport,
     MOTIVE_ROWS,
+    _incidence_count,
     count_report,
     count_section_points,
     dual_point_profile,
@@ -44,10 +46,43 @@ def test_predicted_count_range():
         predicted_count(-1, 2)
 
 
+# The rows of smooth X_K for k = 2..5, kept here as reference data: the
+# library derives them from rows 0 and 1 through the incidence identity.
+REFERENCE_ROWS = {
+    **MOTIVE_ROWS,
+    2: (1, 1, 1, 2, 2, 2, 1, 1, 1),
+    3: (1, 1, 1, 2, 2, 1, 1, 1),
+    4: (1, 1, 1, 2, 1, 1, 1),
+    5: (1, 1, 1, 1, 1, 1),
+}
+
+
+def test_motive_rows_are_those_of_x_and_its_hyperplane_sections():
+    assert sorted(MOTIVE_ROWS) == [0, 1]
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_predicted_count_matches_the_reference_rows(k):
+    for q in range(2, 40):
+        assert predicted_count(k, q) == sum(n * q**i for i, n in enumerate(REFERENCE_ROWS[k]))
+
+
+def test_incidence_count_constants_beyond_k_5():
+    for q in range(2, 40):
+        assert _incidence_count(6, q, 0) == 1 + q + q**3 + q**4
+        assert _incidence_count(7, q, 0) == 1 + q**3
+        assert _incidence_count(8, q, 0) == 0
+        for k in range(1, 9):
+            assert _incidence_count(k, q, 3) - _incidence_count(k, q, 0) == 3 * q ** (8 - k)
+    for k in (0, 9):
+        with pytest.raises(ValueError):
+            _incidence_count(k, 2, 0)
+
+
 def test_motive_rows_hyperplane_pattern():
     # each row is the previous one with one middle Lefschetz power removed
     for k in range(5):
-        row, nxt = MOTIVE_ROWS[k], MOTIVE_ROWS[k + 1]
+        row, nxt = REFERENCE_ROWS[k], REFERENCE_ROWS[k + 1]
         assert len(nxt) == len(row) - 1
         drop = [i for i in range(len(nxt)) if nxt[i] != row[i]]
         assert len(drop) <= 1
@@ -135,6 +170,62 @@ def test_count_report_csv():
     assert r.csv_row() == "2, 1, 1, X, 1143, 1143, True"
 
 
+def pencil_through_a_pure_spinor(field):
+    """<e_1, e_2 + e_345> in S-: e_1 is pure, so X_K is singular."""
+    pure = HalfSpinor.from_subsets(field, MINUS, [((1,), 1)]).coords
+    other = HalfSpinor.from_subsets(field, MINUS, [((2,), 1), ((3, 4, 5), 1)]).coords
+    return Subspace(field, DIM_S, [pure, other])
+
+
+def test_count_report_predicts_singular_sections_from_the_dual_count():
+    r = count_report(pencil_through_a_pure_spinor(F2), "X")
+    assert (r.actual, r.predicted, r.passed, r.notes) == (631, 567 + 2**6, True, "")
+
+
+def random_section(field, rng, k):
+    while True:
+        K = Subspace(field, DIM_S, [random_spinor(field, rng, MINUS) for _ in range(k)])
+        if K.dim == k:
+            return K
+
+
+def test_count_report_predicts_over_extensions_and_up_to_k_8():
+    r = count_report(make_section("generic-3", F2, seed=0).K, "X", 2)
+    assert (r.predicted, r.passed, r.notes) == (22165, True, "")
+    r = count_report(Subspace(F2, DIM_S, []), "X", 2, budget=1 << 31)
+    assert r.actual == r.predicted == 5 * 17 * 65 * 257
+    rng = random.Random(7)
+    for k in (6, 7, 8):
+        r = count_report(random_section(F3, rng, k), "X")
+        assert r.passed and r.notes == "", r
+    K = random_section(F2, rng, 9)
+    assert count_report(K, "X").notes == count_report(K, "X^v").notes == "no prediction"
+
+
+def test_count_report_fails_when_the_dual_count_is_off_by_one(monkeypatch):
+    real = counting.count_section_points
+
+    def off_by_one(K, side="X", m=1, **kw):
+        return real(K, side, m, **kw) + (side == "X^v")
+
+    monkeypatch.setattr(counting, "count_section_points", off_by_one)
+    rng = random.Random(3)
+    for k in (1, 3, 6):
+        r = count_report(random_section(F2, rng, k), "X")
+        assert not r.passed and r.predicted - r.actual == 2 ** (8 - k), r
+
+
+def test_dual_point_profile_refuses_degree_one_over_budget():
+    K = random_section(F2, random.Random(1), 6)
+    with pytest.raises(BudgetExceededError):
+        dual_point_profile(K, max_degree=4, budget=10)
+    with pytest.raises(BudgetExceededError):
+        verify_k6_relation(K, max_degree=4, budget=10)
+    # degree 2 (P^5(F_4), 1365 points) over budget is left out
+    counts, _ = dual_point_profile(K, max_degree=4, budget=100)
+    assert sorted(counts) == [1]
+
+
 def test_k6_relation_random_sections():
     rng = random.Random(0)
     done = 0
@@ -142,10 +233,7 @@ def test_k6_relation_random_sections():
         K = Subspace(F2, DIM_S, [random_spinor(F2, rng, MINUS) for _ in range(6)])
         if K.dim != 6:
             continue
-        try:
-            r = verify_k6_relation(K, max_degree=4)
-        except ValueError:
-            continue  # non-reduced evidence: skip, as the relation presumes reduced
+        r = verify_k6_relation(K, max_degree=4)
         assert r.predicted == 27 + 4 * (r.predicted - 27) // 4
         assert r.passed, r
         done += 1

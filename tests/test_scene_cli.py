@@ -287,15 +287,44 @@ def test_cli_budget_refusal_in_a_suite_exits_1_without_traceback(capsys):
     assert err.startswith("error: ") and "exceeds budget 10" in err
 
 
-def test_cli_verify_k6_logs_counterexamples_under_findings(tmp_path, capsys, monkeypatch):
+def test_cli_verify_k6_failing_row_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     failing = CountReport(2, 1, 6, "X", 50, 52, False)
     monkeypatch.setattr(cli, "verify_k6_relation", lambda K, **kw: failing)
     code, out, err = run_cli(["verify", "k6", "--field", "2", "--sections", "1"], capsys)
-    assert code == 0 and out.endswith("False\n")
-    assert "counterexample logged: findings/k6-counterexample-1.json" in err
-    scene = parse_scene((tmp_path / "findings" / "k6-counterexample-1.json").read_text())
-    assert scene.get("K").as_subspace(scene.field).dim == 6
+    assert (code, err) == (1, "") and out.endswith("False\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_verify_k6_budget_refusal_exits_1(capsys):
+    argv = ["verify", "k6", "--field", "2", "--budget", "10", "--sections", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "exceeds budget 10" in err
+
+
+def test_cli_count_predicts_a_singular_pencil(tmp_path, capsys):
+    # <e_1, e_2 + e_345> over F_2: e_1 is pure, so #X_K = 567 + 2^6 * 1
+    field = PrimeField(2)
+    pure = HalfSpinor.from_subsets(field, MINUS, [((1,), 1)]).coords
+    other = HalfSpinor.from_subsets(field, MINUS, [((2,), 1), ((3, 4, 5), 1)]).coords
+    p = tmp_path / "pencil.json"
+    p.write_text(emit_scene(Scene(field, 0, (SceneObject("K", "section", (pure, other)),))))
+    assert run_cli(["count", "--field", "2", "--scene", str(p)], capsys) == (0, "631\n", "")
+
+
+def test_cli_count_predicts_over_an_extension(capsys, monkeypatch):
+    reports = []
+    real = cli.count_report
+
+    def spy(*args, **kw):
+        reports.append(real(*args, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "count_report", spy)
+    argv = ["count", "--field", "2", "--k", "3", "--ext-degree", "2"]
+    assert run_cli(argv, capsys) == (0, "22165\n", "")
+    assert (reports[0].predicted, reports[0].notes) == (22165, "")
 
 
 def test_cli_explicit_budget_equal_to_another_default_is_honoured(capsys):
