@@ -243,7 +243,7 @@ def _verify_motive(args, field):
             K = Subspace(field, DIM_S, [])
         else:
             K = make_section(f"generic-{k}", field, seed=rng.randrange(1 << 30)).K
-        rows.append(count_report(K, budget=args.budget, workers=args.workers))
+        rows.append(count_report(K, "X", args.ext_degree, budget=args.budget, workers=args.workers))
     return rows
 
 
@@ -252,7 +252,9 @@ def _verify_blowup(args, field):
     rng = random.Random(args.seed)
     for k in range(1, 6):
         K = make_section(f"generic-{k}", field, seed=rng.randrange(1 << 30)).K
-        rows.append(verify_blowup_identity(K, budget=args.budget, workers=args.workers))
+        rows.append(
+            verify_blowup_identity(K, args.ext_degree, budget=args.budget, workers=args.workers)
+        )
     return rows
 
 

@@ -240,44 +240,42 @@ def _pfaffian_terms():
 PFAFFIAN_TERMS = _pfaffian_terms()
 
 
-def _mu_matrices(half: str):
-    """Integer 16x16 coefficient matrices of the 10 coordinates of mu.
+def _mu_terms(half: str):
+    """The 10 coordinates of mu as integer quadrics, each a tuple of its
+    (u, v, c) terms c s_u s_v, u < v, in (u, v) order.
 
     Coordinate order matches VecV: a1..a5 (from <f_j . s, s>) then b1..b5
     (from <e_j . s, s>).  Row i of the bilinear matrix of <w . s, s> has one
     entry: w . b_i = sigma b_t, and b_t pairs only with its partner b_j, with
-    sign eps.  Folded to upper-triangular form it is twice a primitive
-    integral quadric; only the halved model cuts the variety in
-    characteristic 2, and mu_w(s) = s^T C_w s holds in every characteristic.
+    sign eps.  Folded to u <= v it is twice a primitive integral quadric of
+    four terms; only the halved model cuts the variety in characteristic 2,
+    and mu_w(s) = sum c s_u s_v holds in every characteristic.
     """
     partner = _PARTNER[other_half(half)]
-    mats = []
+    quadrics = []
     for table in (F_TABLE, E_TABLE):
         for action in table[half]:
-            c = [[0] * DIM_S for _ in range(DIM_S)]
+            fold = {}
             for i, hit in enumerate(action):
                 if hit:
                     t, sigma = hit
                     j, eps = partner[t]
-                    c[min(i, j)][max(i, j)] += sigma * eps
-            mats.append(tuple(tuple(x // 2 for x in row) for row in c))
-    return tuple(mats)
+                    key = (min(i, j), max(i, j))
+                    fold[key] = fold.get(key, 0) + sigma * eps
+            quadrics.append(tuple((u, v, x // 2) for (u, v), x in sorted(fold.items()) if x // 2))
+    return tuple(quadrics)
 
 
-MU_INT = {h: _mu_matrices(h) for h in (PLUS, MINUS)}
+MU_INT = {h: _mu_terms(h) for h in (PLUS, MINUS)}
 
 
-def eval_quadratic(field: Field, coeff, coords):
-    """Evaluate an integer upper-triangular coefficient matrix at coords."""
+def eval_quadratic(field: Field, terms, coords):
+    """Evaluate an integer quadric, given as (u, v, c) terms, at coords."""
     acc = field.zero
-    for i, ci in enumerate(coeff):
-        xi = coords[i]
-        if xi == field.zero:
-            continue
-        for j in range(i, DIM_S):
-            if ci[j]:
-                term = field.mul(field.mul(xi, coords[j]), field.from_int(ci[j]))
-                acc = field.add(acc, term)
+    for u, v, c in terms:
+        x, y = coords[u], coords[v]
+        if x != field.zero and y != field.zero:
+            acc = field.add(acc, field.mul(field.mul(x, y), field.from_int(c)))
     return acc
 
 

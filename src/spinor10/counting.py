@@ -191,12 +191,12 @@ def count_section_points(
 ) -> int:
     """Exact number of F_{q^m}-points of X_K (side "X") or X^v_K ("X^v").
 
-    The budget bounds #P(K^perp) (side "X") or #P(K) ("X^v") over F_{q^m},
-    the points a scan would enumerate, whichever way the count is made: a
-    larger space is refused with BudgetExceededError.  Side "X" is counted
-    on the 16 charts of X (`count_on_charts`) when that space has more than
-    CHART_CROSSOVER * 16 q^(7m) points; otherwise, and for side "X^v", the
-    space is scanned (`workers` threads, same count for any number).
+    Side "X" is counted on the 16 charts of X (`count_on_charts`) when
+    #P(K^perp)(F_{q^m}) exceeds CHART_CROSSOVER * 16 q^(7m); otherwise, and
+    for side "X^v", the points of P(K^perp) resp. P(K) are scanned
+    (`workers` threads, same count for any number).  The budget bounds what
+    the chosen method enumerates, 16 q^(7m) fibres or the scanned points:
+    more is refused with BudgetExceededError.
     """
     field = K.field
     if not isinstance(field, PrimeField):
@@ -204,18 +204,19 @@ def count_section_points(
     if m < 1:
         raise ValueError(f"extension degree must be at least 1, got {m}")
     q = field.p
-    amb, mats = _section_space(K, side)
+    amb, quadrics = _section_space(K, side)
     d = amb.dim
     if d == 0:
         return 0
     n = num_projective_points(q**m, d)
-    if n > budget:
-        raise BudgetExceededError(
-            f"scan of {n} points (q={q}, m={m}, d={d}) exceeds budget {budget}"
-        )
-    if side == "X" and n > CHART_CROSSOVER * 16 * q ** (7 * m):
+    fibres = 16 * q ** (7 * m)
+    on_charts = side == "X" and n > CHART_CROSSOVER * fibres
+    if (fibres if on_charts else n) > budget:
+        what = f"chart count of {fibres} fibres" if on_charts else f"scan of {n} points"
+        raise BudgetExceededError(f"{what} (q={q}, m={m}, d={d}) exceeds budget {budget}")
+    if on_charts:
         return count_on_charts(K, m)
-    forms = [restrict_quadric(field, c, amb.basis) for c in mats]
+    forms = [restrict_quadric(field, c, amb.basis) for c in quadrics]
     if m == 1:
         count, _ = zero_locus(forms, q, d, workers=workers)
         return count
@@ -265,22 +266,22 @@ def count_report(K: Subspace, side: str = "X", m: int = 1, **kw) -> CountReport:
     return CountReport(q, m, k, side, actual, predicted, actual == predicted)
 
 
-def verify_blowup_identity(K: Subspace, **kw) -> CountReport:
-    """The fibration cross-check: blowing up X_K inside P^{15-k} fibers over
-    the quadric Q with P^{8-k} fibers away from a P^{k-1} of special fibers:
+def verify_blowup_identity(K: Subspace, m: int = 1, **kw) -> CountReport:
+    """The fibration cross-check over F_Q, Q = q^m: blowing up X_K inside
+    P^{15-k} fibers over the quadric Q with P^{8-k} fibers away from a
+    P^{k-1} of special fibers:
 
-        #P^{15-k} + #X_K (#P^4 - 1) = #Q #P^{7-k} + #P^{k-1} q^{8-k}
+        #P^{15-k} + #X_K (#P^4 - 1) = #Q #P^{7-k} + #P^{k-1} Q^{8-k}
     """
-    q = K.field.p
-    k = K.dim
+    q, k = K.field.p, K.dim
     if not 1 <= k <= 5:
         raise ValueError("blowup identity needs 1 <= k <= 5")
-    nx = count_section_points(K, "X", 1, **kw)
-    nq = quadric_count(q)
-    lhs = projective_count(q, 15 - k) + nx * (projective_count(q, 4) - 1)
-    rhs = nq * projective_count(q, 7 - k) + projective_count(q, k - 1) * q ** (8 - k)
+    nx = count_section_points(K, "X", m, **kw)
+    Q = q**m
+    lhs = projective_count(Q, 15 - k) + nx * (projective_count(Q, 4) - 1)
+    rhs = quadric_count(Q) * projective_count(Q, 7 - k) + projective_count(Q, k - 1) * Q ** (8 - k)
     return CountReport(
-        q, 1, k, "X", nx, predicted_count(k, q),
+        q, m, k, "X", nx, predicted_count(k, Q),
         lhs == rhs, identity_lhs=lhs, identity_rhs=rhs,
     )
 

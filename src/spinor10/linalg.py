@@ -36,21 +36,6 @@ def transpose(m):
     return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
-def mat_mul(field: Field, a, b):
-    bt = transpose(b)
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            acc = field.zero
-            for x, y in zip(row, col):
-                if x != field.zero and y != field.zero:
-                    acc = field.add(acc, field.mul(x, y))
-            orow.append(acc)
-        out.append(tuple(orow))
-    return tuple(out)
-
-
 def mat_vec(field: Field, m, v):
     out = []
     for row in m:
@@ -102,7 +87,8 @@ def rref(field: Field, m):
 
 
 def kernel_basis(field: Field, m):
-    """RREF basis of the right null space {v : m @ v = 0}."""
+    """A basis of the right null space {v : m @ v = 0}, one vector per free
+    column of m's RREF."""
     ncols = len(m[0]) if m else 0
     red, rank, pivots = rref(field, m)
     free = [c for c in range(ncols) if c not in pivots]
@@ -113,9 +99,7 @@ def kernel_basis(field: Field, m):
         for i, pc in enumerate(pivots):
             v[pc] = field.neg(red[i][fc])
         basis.append(tuple(v))
-    # free-column order already yields echelon rows; normalize anyway
-    red2, _, _ = rref(field, mat(basis)) if basis else ((), 0, ())
-    return red2
+    return tuple(basis)
 
 
 class Subspace:

@@ -22,8 +22,8 @@ from .clifford import (
 )
 from .fields import Field
 from .linalg import (
-    Subspace, SymBilinearForm, check_invariant, identity_matrix, kernel_basis, mat, mat_mul,
-    mat_vec, rref, transpose,
+    Subspace, SymBilinearForm, check_invariant, identity_matrix, kernel_basis, mat, mat_vec,
+    rref, transpose,
 )
 
 
@@ -129,23 +129,24 @@ def extend_isotropic4(field: Field, u4: Subspace):
     return out[PLUS], out[MINUS]
 
 
-def restrict_quadric(field: Field, coeff_int, basis_rows):
-    """Restrict an integer quadratic coefficient matrix to a subspace basis.
+def restrict_quadric(field: Field, terms, basis_rows):
+    """Restrict an integer quadric, given as (u, v, c) terms, to the span of
+    basis_rows: t -> sum c (t.B)_u (t.B)_v.
 
     Returns the upper-triangular coefficient matrix of the restricted
-    polynomial (valid in every characteristic).
+    polynomial (valid in every characteristic): each term adds
+    c b_iu b_jv at (min(i, j), max(i, j)).
     """
-    c = mat(
-        [[field.from_int(x) for x in row] for row in coeff_int]
-    )
-    b = mat(basis_rows)
-    full = mat_mul(field, mat_mul(field, b, c), transpose(b))
-    n = len(b)
+    n = len(basis_rows)
     out = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        out[i][i] = full[i][i]
-        for j in range(i + 1, n):
-            out[i][j] = field.add(full[i][j], full[j][i])
+    for u, v, c in terms:
+        cu = field.from_int(c)
+        left = [(i, field.mul(cu, b[u])) for i, b in enumerate(basis_rows) if b[u] != field.zero]
+        right = [(j, b[v]) for j, b in enumerate(basis_rows) if b[v] != field.zero]
+        for i, x in left:
+            for j, y in right:
+                lo, hi = (i, j) if i <= j else (j, i)
+                out[lo][hi] = field.add(out[lo][hi], field.mul(x, y))
     return mat(out)
 
 

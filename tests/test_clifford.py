@@ -175,18 +175,28 @@ def test_mu_int_is_the_halved_fold_of_the_pairing_matrix():
     units = identity_matrix(QQ, DIM_S)
     ws = [basis_f(QQ, j) for j in range(1, 6)] + [basis_e(QQ, j) for j in range(1, 6)]
     for half in (PLUS, MINUS):
-        mats = []
+        quadrics = []
         for w in ws:
             images = [clifford_mul(QQ, w, b, half) for b in units]
             if half == PLUS:
                 m = [[pairing(QQ, images[i], units[j]) for j in range(DIM_S)] for i in range(DIM_S)]
             else:
                 m = [[pairing(QQ, units[i], images[j]) for j in range(DIM_S)] for i in range(DIM_S)]
-            c = [[0] * DIM_S for _ in range(DIM_S)]
+            terms = []
             for i in range(DIM_S):
                 for j in range(i, DIM_S):
                     t = m[i][i] if i == j else m[i][j] + m[j][i]
                     assert t % 2 == 0  # <w.s, s> is twice an integral quadric
-                    c[i][j] = int(t) // 2
-            mats.append(tuple(map(tuple, c)))
-        assert MU_INT[half] == tuple(mats)
+                    if t:
+                        terms.append((i, j, int(t) // 2))
+            quadrics.append(tuple(terms))
+        assert MU_INT[half] == tuple(quadrics)
+
+
+def test_mu_int_is_ten_four_term_quadrics():
+    for half in (PLUS, MINUS):
+        assert len(MU_INT[half]) == 10
+        for terms in MU_INT[half]:
+            assert len(terms) == 4 and list(terms) == sorted(terms)
+            for u, v, c in terms:
+                assert 0 <= u < v < DIM_S and type(c) is int and c in (1, -1)

@@ -116,6 +116,28 @@ def test_budget_error():
         count_section_points(K0, "X", 4, budget=1000)
 
 
+def test_budget_bounds_the_chart_fibres_not_the_scan():
+    # P^15(F_4) and P^15(F_5) are far over the default budget, but the charts
+    # enumerate 16 Q^7 fibres: 262144 over F_4
+    K0 = Subspace(F2, DIM_S, [])
+    assert count_section_points(K0, "X", 2) == predicted_count(0, 4) == 1419925
+    assert count_section_points(K0, "X", 2, budget=262144) == 1419925
+    with pytest.raises(BudgetExceededError, match="262144 fibres .* exceeds budget 262143"):
+        count_section_points(K0, "X", 2, budget=262143)
+    assert count_section_points(Subspace(PrimeField(5), DIM_S, []), "X") == 12304656
+    # the scan path still refuses by its points: P^4(F_32) on the X^v side
+    K5 = make_section("generic-5", F2, seed=0).K
+    with pytest.raises(BudgetExceededError, match="1082401 points"):
+        count_section_points(K5, "X^v", 5, budget=1082400)
+
+
+def test_blowup_identity_over_an_extension():
+    for k in (1, 3, 5):
+        r = verify_blowup_identity(make_section(f"generic-{k}", F2, seed=k).K, 2)
+        assert (r.m, r.actual, r.predicted) == (2, predicted_count(k, 4), predicted_count(k, 4))
+        assert r.passed and r.identity_lhs == r.identity_rhs
+
+
 def test_extension_degree_below_one_is_refused():
     K0 = Subspace(F2, DIM_S, [])
     for m in (0, -1):
@@ -192,7 +214,7 @@ def random_section(field, rng, k):
 def test_count_report_predicts_over_extensions_and_up_to_k_8():
     r = count_report(make_section("generic-3", F2, seed=0).K, "X", 2)
     assert (r.predicted, r.passed, r.notes) == (22165, True, "")
-    r = count_report(Subspace(F2, DIM_S, []), "X", 2, budget=1 << 31)
+    r = count_report(Subspace(F2, DIM_S, []), "X", 2)
     assert r.actual == r.predicted == 5 * 17 * 65 * 257
     rng = random.Random(7)
     for k in (6, 7, 8):

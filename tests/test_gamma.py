@@ -67,13 +67,11 @@ def test_gamma_postconditions_random():
 
 
 def test_gamma_coordinates_quadratic_symbolically():
-    # each coordinate is stored as a quadratic coefficient matrix: upper
-    # triangular, no linear or constant part by construction
+    # each coordinate is stored as quadratic terms c s_u s_v, u <= v: no
+    # linear or constant part by construction
     for c in MU_INT[MINUS]:
-        assert len(c) == DIM_S and all(len(r) == DIM_S for r in c)
-        for i in range(DIM_S):
-            for j in range(i):
-                assert c[i][j] == 0
+        for u, v, coeff in c:
+            assert 0 <= u <= v < DIM_S and type(coeff) is int and coeff != 0
     # and evaluation is 4-homogeneous under scaling... degree 2: f(t*s) = t^2 f(s)
     rng = random.Random(1)
     s = random_spinor(QQ, rng, MINUS)

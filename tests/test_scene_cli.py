@@ -198,6 +198,25 @@ def test_cli_verify_blowup(capsys):
     assert len(out.strip().splitlines()) == 6
 
 
+@pytest.mark.parametrize("suite, ks", [("motive", range(6)), ("blowup", range(1, 6))])
+def test_cli_verify_suites_count_over_the_ext_degree(suite, ks, capsys):
+    code, out, _ = run_cli(["verify", suite, "--field", "2", "--ext-degree", "2"], capsys)
+    lines = out.strip().splitlines()
+    assert code == 0 and len(lines) == 1 + len(ks)
+    for line, k in zip(lines[1:], ks):
+        q, m, kk, _, actual, predicted, passed = line.split(", ")
+        assert (q, m, kk, passed) == ("2", "2", str(k), "True") and actual == predicted
+
+
+def test_cli_count_budget_bounds_the_chart_fibres(capsys):
+    # X(F_4): P^15(F_4) is over the default budget, its 262144 chart fibres are not
+    assert run_cli(["count", "--field", "2", "--k", "0", "--ext-degree", "2"], capsys)[:2] == (
+        0, "1419925\n")
+    argv = ["count", "--field", "2", "--k", "0", "--ext-degree", "2", "--budget", "262143"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "") and "exceeds budget 262143" in err
+
+
 def test_cli_usage_errors(capsys):
     code, _, err = run_cli(["count", "--field", "6", "--k", "0"], capsys)
     assert code == 2 and "not prime" in err
@@ -328,10 +347,11 @@ def test_cli_count_predicts_over_an_extension(capsys, monkeypatch):
 
 
 def test_cli_explicit_budget_equal_to_another_default_is_honoured(capsys):
-    # P^10(F_4) has 1,398,101 points: both budgets refuse before scanning
+    # P^4(F_32) has 1,082,401 points: both budgets refuse before scanning
     results = []
     for budget in ("300000", "300001"):
-        argv = ["count", "--field", "2", "--k", "5", "--ext-degree", "2", "--budget", budget]
+        argv = ["count", "--field", "2", "--k", "5", "--side", "X^v", "--ext-degree", "5",
+                "--budget", budget]
         code, out, err = run_cli(argv, capsys)
         results.append((code, out, err.replace(budget, "B")))
     assert results[0] == results[1]

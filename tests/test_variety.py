@@ -7,10 +7,12 @@ from spinor10.clifford import (
     DIM_V,
     HalfSpinor,
     MINUS,
+    MU_INT,
     PLUS,
     basis_e,
     basis_f,
     clifford_mul,
+    eval_quadratic,
 )
 from spinor10.fields import PrimeField, QQ
 from spinor10.linalg import Subspace, mat
@@ -29,12 +31,14 @@ from spinor10.variety import (
     random_maximal_isotropic,
     random_pure_witness,
     random_spinor,
+    restrict_quadric,
     witness_from_isotropic5,
 )
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def spin(field, half, *terms):
@@ -237,3 +241,20 @@ def test_random_maximal_isotropic_families():
                 wit = witness_from_isotropic5(field, w)
                 assert wit.half == half
                 assert annihilator(field, wit.spinor, half) == w
+
+
+@pytest.mark.parametrize("field", [F2, F3, F7, PrimeField(65521), QQ], ids=str)
+def test_restrict_quadric_agrees_with_evaluation_on_the_span(field):
+    rng = random.Random(8)
+    for d in range(1, DIM_S + 1):
+        for half in (PLUS, MINUS):
+            rows = [random_spinor(field, rng, half) for _ in range(d)]
+            t = [field.sample(rng) for _ in range(d)]
+            s = [field.zero] * DIM_S
+            for ti, row in zip(t, rows):
+                s = [field.add(x, field.mul(ti, y)) for x, y in zip(s, row)]
+            for terms in MU_INT[half]:
+                form = restrict_quadric(field, terms, rows)
+                assert len(form) == d and all(len(r) == d for r in form)
+                assert all(form[i][j] == field.zero for i in range(d) for j in range(i))
+                assert eval_restricted(field, form, t) == eval_quadratic(field, terms, s)
