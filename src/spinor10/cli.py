@@ -264,7 +264,11 @@ def _verify_k6(args, field):
     while len(rows) < args.sections:
         K = Subspace(field, DIM_S, [random_spinor(field, rng, MINUS) for _ in range(6)])
         if K.dim == 6:
-            rows.append(verify_k6_relation(K, max_degree=args.ext_degree, budget=args.budget))
+            rows.append(
+                verify_k6_relation(
+                    K, max_degree=args.ext_degree, budget=args.budget, workers=args.workers
+                )
+            )
     return rows
 
 

@@ -286,7 +286,9 @@ def verify_blowup_identity(K: Subspace, m: int = 1, **kw) -> CountReport:
     )
 
 
-def dual_point_profile(K: Subspace, max_degree: int = 4, *, budget: int = DEFAULT_COUNT_BUDGET):
+def dual_point_profile(
+    K: Subspace, max_degree: int = 4, *, budget: int = DEFAULT_COUNT_BUDGET, workers: int = 1
+):
     """Closed points of X^v_K of degree <= max_degree (12 in all for generic k = 6).
 
     Returns (counts, degrees) where counts[m] = #X^v_K(F_{q^m}) and degrees
@@ -297,7 +299,7 @@ def dual_point_profile(K: Subspace, max_degree: int = 4, *, budget: int = DEFAUL
     counts = {}
     for m in range(1, max_degree + 1):
         try:
-            counts[m] = count_section_points(K, "X^v", m, budget=budget)
+            counts[m] = count_section_points(K, "X^v", m, budget=budget, workers=workers)
         except BudgetExceededError:
             if m == 1:
                 raise

@@ -53,9 +53,6 @@ class Field:
     def from_int(self, n: int):
         raise NotImplementedError
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
     def sample(self, rng):
         raise NotImplementedError
 

@@ -10,7 +10,7 @@ characteristic != 2; the characteristic-2 classifier fallback lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .clifford import MINUS, bV
 from .fields import Field
@@ -52,7 +52,6 @@ def polarize_mu(field: Field, k1, k2):
 @dataclass(frozen=True)
 class LineComplexValue:
     value: object
-    basis_pair: tuple
 
     def vanishes(self, field: Field) -> bool:
         return self.value == field.zero
@@ -72,8 +71,7 @@ def rho(field: Field, k1, k2) -> LineComplexValue:
     """
     _require_odd_char(field)
     q12 = polarize_mu(field, k1, k2)
-    val = bV(field, q12, q12)
-    return LineComplexValue(val, (tuple(k1), tuple(k2)))
+    return LineComplexValue(bV(field, q12, q12))
 
 
 @dataclass(frozen=True)
@@ -102,62 +100,32 @@ class PlueckerQuadric:
 def rho_form(field: Field, K: Subspace) -> PlueckerQuadric:
     """The quadric R_K on the Pluecker coordinates of Lambda^2 K.
 
-    The gram is interpolated from rho on decomposables: the diagonal entry
-    at (i,j) is rho(ki, kj); pairs sharing an index use the decomposable
-    sum e_I + e_J = x ^ y (dividing only by 2); disjoint pairs (k >= 4) are
-    fixed in the gauge -- valid up to Pluecker-quadric multiples -- where
-    the entry at ((i,j),(l,m)) with i<j<l<m is zero, and the two crossing
-    entries carry b(q~_im, q~_jl) and b(q~_il, q~_jm).  This keeps every
-    coefficient integral, so the form stays meaningful in characteristic 3,
-    and values on decomposables equal rho exactly."""
+    q~ = polarize_mu is bilinear and rho(x, y) = b_V(q~(x, y), q~(x, y)), so
+    every Gram entry is one b_V of the table q~_ij = q~(k_i, k_j).  For pairs
+    I = (a, b) <= J = (c, d) in lexicographic order the entry is 0 if b < c,
+    -b_V(q~_ac, q~_bd) if b = c, and b_V(q~_ad, q~_bc) otherwise.  The zeros
+    are a gauge: a form on Lambda^2 K is fixed only up to the Pluecker
+    quadrics, one per index quadruple i < j < l < m, and each is spent on
+    making the entry at ((i,j),(l,m)) zero.  Every coefficient is integral,
+    so the form stays meaningful in characteristic 3, and values on
+    decomposables equal rho exactly."""
     _require_odd_char(field)
     if K.dim < 2:
         raise ValueError("need dim K >= 2")
     basis = K.basis
     k = K.dim
     qt = {}
-    for i in range(k):
-        for j in range(i, k):
-            qt[i, j] = qt[j, i] = polarize_mu(field, basis[i], basis[j])
+    for i, j in combinations_with_replacement(range(k), 2):
+        qt[i, j] = qt[j, i] = polarize_mu(field, basis[i], basis[j])
     pairs = tuple(combinations(range(k), 2))
-    inv2 = field.inv(field.from_int(2))
-
-    def rho_val(x, y):
-        q = polarize_mu(field, x, y)
-        return bV(field, q, q)
-
-    def shared_entry(I, J, diag_I, diag_J):
-        (s,) = set(I) & set(J)
-        u = I[0] if I[1] == s else I[1]
-        v = J[0] if J[1] == s else J[1]
-        eps_u = field.one if I == (s, u) else field.neg(field.one)
-        eps_v = field.one if J == (s, v) else field.neg(field.one)
-        y = tuple(
-            field.add(field.mul(eps_u, a), field.mul(eps_v, b))
-            for a, b in zip(basis[u], basis[v])
-        )
-        total = rho_val(basis[s], y)
-        return field.mul(inv2, field.sub(field.sub(total, diag_I), diag_J))
-
-    idx = {P: n for n, P in enumerate(pairs)}
     n = len(pairs)
     gram = [[field.zero] * n for _ in range(n)]
-    for P in pairs:
-        gram[idx[P]][idx[P]] = rho_val(basis[P[0]], basis[P[1]])
-    for a in range(n):
-        for b in range(a + 1, n):
-            I, J = pairs[a], pairs[b]
-            if set(I) & set(J):
-                x = shared_entry(I, J, gram[a][a], gram[b][b])
-                gram[a][b] = gram[b][a] = x
-    for (i, j, l, m) in combinations(range(k), 4):
-        # gauge: entry at ((i,j),(l,m)) stays zero
-        x = bV(field, qt[i, m], qt[j, l])
-        a, b = idx[(i, l)], idx[(j, m)]
-        gram[a][b] = gram[b][a] = x
-        y = bV(field, qt[i, l], qt[j, m])
-        a, b = idx[(i, m)], idx[(j, l)]
-        gram[a][b] = gram[b][a] = y
+    for x, y in combinations_with_replacement(range(n), 2):
+        (a, b), (c, d) = pairs[x], pairs[y]
+        if b == c:
+            gram[x][y] = gram[y][x] = field.neg(bV(field, qt[a, c], qt[b, d]))
+        elif b > c:
+            gram[x][y] = gram[y][x] = bV(field, qt[a, d], qt[b, c])
     return PlueckerQuadric(k, pairs, SymBilinearForm(field, gram), basis)
 
 
@@ -177,26 +145,17 @@ def coords_in(space: Subspace, vec):
 
 
 def r_kappa_form(field: Field, kappa, K: Subspace):
-    """The quadratic form lambda -> rho(kappa, lambda) on K/<kappa>.
+    """The quadratic form lambda -> rho(kappa, lambda) on K/<kappa>: the Gram
+    matrix [b_V(P_i, P_j)] of P_i = polarize_mu(kappa, c_i) over the
+    complement basis c_i, since rho(kappa, -) = b_V(q~(kappa, -), q~(kappa, -)).
 
     Returns (SymBilinearForm on a complement basis, corank)."""
     _require_odd_char(field)
     c = coords_in(K, kappa)  # raises if kappa not in K
     pivot = next(i for i, x in enumerate(c) if x != field.zero)
-    comp = [K.basis[i] for i in range(K.dim) if i != pivot]
-    inv2 = field.inv(field.from_int(2))
-
-    def q(lam):
-        return rho(field, kappa, lam).value
-
-    n = len(comp)
-    gram = [[field.zero] * n for _ in range(n)]
-    vals = [q(comp[i]) for i in range(n)]
-    for i in range(n):
-        gram[i][i] = vals[i]
-        for j in range(i + 1, n):
-            s = tuple(field.add(a, b) for a, b in zip(comp[i], comp[j]))
-            x = field.mul(inv2, field.sub(field.sub(q(s), vals[i]), vals[j]))
-            gram[i][j] = gram[j][i] = x
+    P = [polarize_mu(field, kappa, K.basis[i]) for i in range(K.dim) if i != pivot]
+    gram = [[field.zero] * len(P) for _ in P]
+    for i, j in combinations_with_replacement(range(len(P)), 2):
+        gram[i][j] = gram[j][i] = bV(field, P[i], P[j])
     form = SymBilinearForm(field, gram)
     return form, form.corank()

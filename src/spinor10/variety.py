@@ -74,9 +74,6 @@ def annihilator_kernel(field: Field, u: Subspace, half: str) -> Subspace:
     return ker
 
 
-F_FAMILY_HALF = PLUS  # spinor of F = <f1..f5> is 1 in Lambda^0
-
-
 def f_reference(field: Field) -> Subspace:
     return Subspace(field, DIM_V, [basis_f(field, i) for i in range(1, 6)])
 

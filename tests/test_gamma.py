@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -16,22 +17,31 @@ from spinor10.fields import PrimeField, QQ
 from spinor10.gamma import (
     LineComplexValue,
     PureSpinorError,
+    coords_in,
     gamma,
     polarize_mu,
     r_kappa_form,
     rho,
     rho_form,
 )
-from spinor10.linalg import Subspace
+from spinor10.linalg import Subspace, mat_vec, transpose
 from spinor10.variety import is_pure, mu, random_pure_witness, random_spinor
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def spin(field, half, *terms):
     return HalfSpinor.from_subsets(field, half, [(t, field.one) for t in terms]).coords
+
+
+def rand_subspace(field, rng, k):
+    while True:
+        K = Subspace(field, DIM_S, [random_spinor(field, rng, MINUS) for _ in range(k)])
+        if K.dim == k:
+            return K
 
 
 def rand_nonpure(field, rng):
@@ -141,21 +151,25 @@ def test_rho_form_k2_matches_rho():
         assert val == rho(F5, k1, k2).value
 
 
-def test_rho_form_consistency_on_decomposables():
-    rng = random.Random(7)
-    for _ in range(30):
-        k = rng.choice([3, 4])
-        K = Subspace(F5, DIM_S, [random_spinor(F5, rng, MINUS) for _ in range(k)])
-        if K.dim != k:
-            continue
-        pq = rho_form(F5, K)
-        a = tuple(F5.sample(rng) for _ in range(k))
-        b = tuple(F5.sample(rng) for _ in range(k))
-        from spinor10.linalg import mat_vec, transpose
-
-        va = mat_vec(F5, transpose(K.basis), a)
-        vb = mat_vec(F5, transpose(K.basis), b)
-        assert pq.value_on_pair(F5, a, b) == rho(F5, va, vb).value
+@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("field", [F3, F5, F7, QQ], ids=str)
+def test_rho_form_consistency_on_decomposables(field, k):
+    # R_K equals rho on every a ^ b and is zero at ((i,j),(l,m)), i<j<l<m:
+    # the gauge fixes the form modulo the Pluecker quadrics, so together
+    # these pin every Gram entry
+    rng = random.Random(7 * k)
+    K = rand_subspace(field, rng, k)
+    pq = rho_form(field, K)
+    idx = {P: n for n, P in enumerate(pq.pairs)}
+    for i, j, l, m in combinations(range(k), 4):
+        assert pq.form.gram[idx[i, j]][idx[l, m]] == field.zero
+    basis_t = transpose(K.basis)
+    for _ in range(10):
+        a = tuple(field.sample(rng) for _ in range(k))
+        b = tuple(field.sample(rng) for _ in range(k))
+        va = mat_vec(field, basis_t, a)
+        vb = mat_vec(field, basis_t, b)
+        assert pq.value_on_pair(field, a, b) == rho(field, va, vb).value
 
 
 def test_rho_form_k4_not_identically_zero():
@@ -180,6 +194,30 @@ def test_r_kappa_form_k2_scalar():
         form, corank = r_kappa_form(F5, kappa, K)
         assert form.ambient_dim == 1
         assert form.gram[0][0] == rho(F5, kappa, K.basis[1]).value
+
+
+@pytest.mark.parametrize("field", [F3, F5, QQ], ids=str)
+def test_r_kappa_form_is_the_polarization_of_rho(field):
+    # on the complement basis c_i (K's basis without the first vector kappa
+    # has a coefficient on), entry (i, j) is the polarization of
+    # lambda -> rho(kappa, lambda)
+    rng = random.Random(12)
+    half = field.inv(field.from_int(2))
+    for k in range(2, 7):
+        K = rand_subspace(field, rng, k)
+        kappa = mat_vec(field, transpose(K.basis), [field.sample(rng) for _ in range(k)])
+        if all(x == field.zero for x in kappa):
+            continue
+        form, corank = r_kappa_form(field, kappa, K)
+        pivot = next(i for i, x in enumerate(coords_in(K, kappa)) if x != field.zero)
+        comp = [b for i, b in enumerate(K.basis) if i != pivot]
+        assert form.ambient_dim == k - 1 and corank == form.corank()
+        vals = [rho(field, kappa, c).value for c in comp]
+        for i, j in combinations(range(k - 1), 2):
+            s = tuple(field.add(x, y) for x, y in zip(comp[i], comp[j]))
+            total = rho(field, kappa, s).value
+            assert form.gram[i][j] == field.mul(half, field.sub(field.sub(total, vals[i]), vals[j]))
+        assert [form.gram[i][i] for i in range(k - 1)] == vals
 
 
 def test_r_kappa_form_requires_membership():

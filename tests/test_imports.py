@@ -1,5 +1,6 @@
 """Every name a module imports is used in that module, and every module-level
-function or class of the package is referenced from src/, tests/ or perfbench/."""
+function, class or assigned constant of the package is referenced from src/,
+tests/ or perfbench/."""
 
 import ast
 from pathlib import Path
@@ -34,13 +35,14 @@ def test_module_has_no_unused_imports(path):
 
 
 def referenced_names(sources):
-    """Every name the sources read, import or look up as an attribute."""
+    """Every name the sources read, import or look up as an attribute; storing
+    to a name is not a use of it."""
     names = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
@@ -48,12 +50,18 @@ def referenced_names(sources):
 
 
 def unreferenced_definitions(source: str, referenced):
+    """Module-level functions, classes and assigned names (tuple targets
+    included) that are not in referenced, as (line, name)."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [
-        (node.lineno, node.name)
-        for node in ast.parse(source).body
-        if isinstance(node, defs) and node.name not in referenced
-    ]
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, defs):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            stores = (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            found.extend((node.lineno, n.id) for n in stores if isinstance(n.ctx, ast.Store))
+    return [(line, name) for line, name in found if name not in referenced]
 
 
 def test_checker_flags_an_unreferenced_definition():
@@ -61,6 +69,15 @@ def test_checker_flags_an_unreferenced_definition():
     caller = "from lib import used\nimport lib\nlib.dead\n"
     assert unreferenced_definitions(lib, referenced_names([lib])) == [(4, "dead"), (7, "Gone")]
     assert unreferenced_definitions(lib, referenced_names([lib, caller])) == [(7, "Gone")]
+
+
+def test_checker_flags_an_unreferenced_constant():
+    lib = "A, (B, C) = 1, (2, 3)\nD: int = A\nE = 4\nE = 5\nobj.F = obj[G] = 6\n"
+    assert unreferenced_definitions(lib, referenced_names([lib])) == [
+        (1, "B"), (1, "C"), (2, "D"), (3, "E"), (4, "E"),
+    ]
+    caller = "from lib import B\nimport lib\nprint(lib.C, lib.E)\n"
+    assert unreferenced_definitions(lib, referenced_names([lib, caller])) == [(2, "D")]
 
 
 def test_every_definition_is_referenced():

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from spinor10.clifford import DIM_S, DIM_V, HalfSpinor, MINUS
-from spinor10 import cli
+from spinor10 import cli, counting
 from spinor10.cli import build_parser, main
 from spinor10.counting import DEFAULT_COUNT_BUDGET, CountReport
 from spinor10.fields import PrimeField, QQ
@@ -320,6 +320,21 @@ def test_cli_verify_k6_budget_refusal_exits_1(capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "exceeds budget 10" in err
+
+
+def test_cli_verify_k6_counts_with_the_given_workers(capsys, monkeypatch):
+    argv = ["verify", "k6", "--field", "2", "--sections", "1"]
+    single = run_cli(argv + ["--workers", "1"], capsys)
+    seen = []
+    count = counting.count_section_points
+
+    def spy(*args, **kw):
+        seen.append(kw.get("workers"))
+        return count(*args, **kw)
+
+    monkeypatch.setattr(counting, "count_section_points", spy)
+    assert run_cli(argv + ["--workers", "2"], capsys) == single
+    assert seen and set(seen) == {2}
 
 
 def test_cli_count_predicts_a_singular_pencil(tmp_path, capsys):
