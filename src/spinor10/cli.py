@@ -27,7 +27,7 @@ from .fields import Field, PrimeField, field_spec
 from .gamma import PureSpinorError, gamma, rho
 from .linalg import Subspace
 from .scene import Scene, SceneError, emit_scene, parse_scene, section_scene
-from .sections import DEFAULT_BUDGET, DEFAULT_MAX_DEGREE, classify, make_section
+from .sections import classify, make_section
 from .spaces import f4_scan, span_pi4
 from .variety import annihilator, annihilator_kernel, mu, random_spinor, witness_from_spinor
 
@@ -176,7 +176,7 @@ def cmd_rho(args):
 
 def cmd_classify(args):
     K = _scene_section(args)
-    rep = classify(K, max_degree=args.ext_degree, budget=args.budget)
+    rep = classify(K)
     _emit(
         args,
         {
@@ -191,10 +191,7 @@ def cmd_classify(args):
 
 def cmd_make_section(args):
     field = field_spec(args.field)
-    s = make_section(
-        args.kind, field, seed=args.seed,
-        max_degree=args.ext_degree, budget=args.budget,
-    )
+    s = make_section(args.kind, field, seed=args.seed)
     scene = section_scene(field, s.K, seed=args.seed)
     text = emit_scene(scene)
     if args.out:
@@ -334,15 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--object", help="object name within the scene")
         return add
 
-    def limits(ext_degree, budget):
-        def add(p):
-            p.add_argument("--ext-degree", type=_int_at_least(1), default=ext_degree, metavar="M")
-            p.add_argument("--budget", type=_int_at_least(0), default=budget)
-        return add
-
-    # smoothness work scans up to degree 6; counting scans are larger
-    section_limits = limits(DEFAULT_MAX_DEGREE, DEFAULT_BUDGET)
-    count_limits = limits(1, DEFAULT_COUNT_BUDGET)
+    def count_limits(p):
+        p.add_argument("--ext-degree", type=_int_at_least(1), default=1, metavar="M")
+        p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_COUNT_BUDGET)
 
     def command(name, fn, help, *flags):
         p = sub.add_parser(name, help=help)
@@ -366,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", help="scene JSON file")
     p.add_argument("--objects", help="comma-separated pair of scene object names")
     command("classify", cmd_classify, "classify a linear section",
-            scene(required=True), section_limits, fmt)
+            scene(required=True), fmt)
     p = command("make-section", cmd_make_section, "construct a section and emit a scene",
-                field, seed, section_limits)
+                field, seed)
     p.add_argument("--kind", required=True, help="special | very-special | generic-K")
     p.add_argument("--out", help="output scene path (default stdout)")
     command("f4", cmd_f4, "scan for linear 4-spaces inside a section",

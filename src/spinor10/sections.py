@@ -1,4 +1,4 @@
-"""Linear sections X_K = X cap P(K^perp): smoothness scanning, the
+"""Linear sections X_K = X cap P(K^perp): exact smoothness decisions, the
 classification taxonomy, the quadrics Q_{kappa,K}, and constructors for
 special / very special / generic sections.
 """
@@ -7,13 +7,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from itertools import combinations_with_replacement
+
+import numpy as np
 
 from .clifford import DIM_S, DIM_V, MINUS, PLUS, bV, pairing_orthogonal, qV
-from .fields import Field, PrimeField, RationalField, get_ext_field
+from .fields import Field, PrimeField, RationalField
 from .gamma import coords_in, gamma, rho, rho_form
 from .linalg import Subspace, SymBilinearForm, check_invariant, mat_vec, transpose
-from .scan import ext_zero_locus, find_first_zero, num_projective_points
+from .scan import find_first_zero, num_projective_points
 from .spaces import span_pi4
 from .variety import (
     MU_INT,
@@ -28,7 +32,6 @@ from .variety import (
     witness_from_spinor,
 )
 
-DEFAULT_MAX_DEGREE = 6
 DEFAULT_BUDGET = 300_000
 REDUCTION_PRIMES = (3, 5, 7)
 MAX_TRIES = 200
@@ -63,110 +66,139 @@ class SectionK:
 
 @dataclass(frozen=True)
 class SmoothnessCertificate:
-    # "certified-singular" | "singular-mod-p" | "no-point-up-to-degree-M" |
-    # "not-scanned" (no degree, or over Q no reduction prime, was scanned)
+    # "certified-smooth" | "certified-singular"; over Q "singular-mod-p" or
+    # "undecided" (see smoothness_scan)
     status: str
-    max_degree: int
-    witness: tuple | None  # (prime, degree, point coefficients on the K basis)
-    scanned: tuple
-    skipped: tuple
-    notes: str = ""
+    degree: int | None  # the D where it decided; 1 for a witness
+    hilbert: tuple  # c_2, ..., c_D with c_D = dim (S/I)_D
+    witness: tuple | None  # (prime, 1, point coefficients on the basis of K mod prime)
 
     @property
     def smooth_so_far(self) -> bool:
-        return self.status == "no-point-up-to-degree-M"
+        # the verdict is exact; the name is kept for existing readers
+        return self.status == "certified-smooth"
 
 
 def _restricted_dual_forms(K: Subspace):
     return [restrict_quadric(K.field, c, K.basis) for c in MU_INT[MINUS]]
 
 
-def _prime_smoothness_scan(K, q, max_degree, budget):
-    forms = _restricted_dual_forms(K)
-    k = K.dim
-    scanned, skipped = [], []
-    for m in range(1, max_degree + 1):
-        if num_projective_points(q**m, k) > budget:
-            skipped.append(m)
+@lru_cache(maxsize=None)
+def _monomial_products(k, D):
+    """Rows (i, index of m, index of M) for every way M = x_i * m of writing
+    a degree-D monomial M in k variables, grouped by M; monomials of each
+    degree are indexed in combinations_with_replacement order."""
+    low = {m: j for j, m in enumerate(combinations_with_replacement(range(k), D - 1))}
+    return np.array([
+        (i, low[M[: M.index(i)] + M[M.index(i) + 1 :]], j)
+        for j, M in enumerate(combinations_with_replacement(range(k), D))
+        for i in sorted(set(M))
+    ]).T
+
+
+def _rref_mod_p(a, p):
+    """Reduced row-echelon form of an int64 matrix mod p: (rows, pivots)."""
+    a = a % p
+    pivots = []
+    for j in range(a.shape[1]):
+        r = len(pivots)
+        nz = np.flatnonzero(a[r:, j])
+        if not nz.size:
             continue
-        if m == 1:
-            pt = find_first_zero(forms, q, k)
-        else:
-            pts = ext_zero_locus(forms, get_ext_field(q, m), k, find_first=True)[1]
-            pt = pts[0] if pts else None
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        row = a[r] * pow(int(a[r, j]), -1, p) % p
+        a = (a - np.outer(a[:, j], row)) % p
+        a[r] = row
+        pivots.append(j)
+    return a[: len(pivots)], pivots
+
+
+def _hilbert_function(forms, p, k):
+    """c_D = dim (S/I)_D, D = 2, ..., k + 1 or the first c_D = 0, for I the
+    ideal of quadrics (upper-triangular (k, k) arrays) in F_p[x_0..x_{k-1}].
+    As I_D = S_1 I_{D-1}, S_D/I_D is spanned by the k c_{D-1} products x_i b,
+    b in a basis of S_{D-1}/I_{D-1}: each step eliminates their relations
+    (two ways of writing one monomial), from the quadrics at D = 2."""
+    i, j = np.triu_indices(k)
+    # the relations among the columns, and each degree-D monomial over them
+    rows = np.array(forms, dtype=np.int64)[:, i, j]
+    head = np.eye(len(i), dtype=np.int64)
+    hilbert = []
+    for D in range(2, k + 2):
+        red, pivots = _rref_mod_p(rows, p)
+        free = np.setdiff1d(np.arange(rows.shape[1]), pivots)
+        hilbert.append(len(free))
+        if not len(free) or D == k + 1:
+            break
+        nf = (head[:, free] - head[:, pivots] @ red[:, free]) % p
+        var, sub, mono = _monomial_products(k, D + 1)
+        prods = (np.eye(k, dtype=np.int64)[var, :, None] * nf[sub, None, :]).reshape(len(var), -1)
+        same = mono[1:] == mono[:-1]
+        rows = (prods[1:] - prods[:-1])[same]
+        head = prods[np.r_[True, ~same]]
+    return tuple(hilbert)
+
+
+def _prime_smoothness_scan(K, p):
+    forms = _restricted_dual_forms(K)
+    if num_projective_points(p, K.dim) <= DEFAULT_BUDGET:
+        pt = find_first_zero(forms, p, K.dim)
         if pt is not None:
-            return ("certified-singular", (q, m, pt), tuple(scanned), tuple(skipped))
-        scanned.append(m)
-    status = "no-point-up-to-degree-M" if scanned else "not-scanned"
-    return (status, None, tuple(scanned), tuple(skipped))
+            return SmoothnessCertificate("certified-singular", 1, (), (p, 1, pt))
+    hilbert = _hilbert_function(forms, p, K.dim)
+    status = "certified-singular" if hilbert[-1] else "certified-smooth"
+    return SmoothnessCertificate(status, len(hilbert) + 1, hilbert, None)
 
 
-def smoothness_scan(
-    K: Subspace,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-    budget: int = DEFAULT_BUDGET,
-) -> SmoothnessCertificate:
-    """Scan X^v cap P(K) for points over F_{q^m}, m = 1..max_degree.
+def smoothness_scan(K: Subspace) -> SmoothnessCertificate:
+    """Decide whether X_K is smooth, for 1 <= k <= 5.
 
-    For k <= 5 emptiness over the algebraic closure is equivalent to X_K
-    smooth; the scan certifies emptiness only up to the given degree, and
-    levels whose point count exceeds the budget are skipped (recorded).  A
-    scan that skips every level proves nothing and is "not-scanned".
-    Over the rationals the scan runs over REDUCTION_PRIMES; a section is
-    flagged singular-mod-p when every scanned prime exhibits a point.  That
-    is modular evidence, not a proof that X_K itself is singular.
+    For k <= 5, X_K is smooth iff P(K) misses X^v over the algebraic
+    closure: iff the ten quadrics mu restricted to K have no common zero.
+    Let I be their ideal in the k coordinates of K, c_D = dim (S/I)_D.  If
+    some c_D = 0 there is no common zero.  If there is none, k general
+    combinations of the quadrics form a regular sequence, so by Macaulay's
+    bound sum (d_i - 1) + 1 = k + 1, c_{k+1} = 0 (Macaulay, The Algebraic
+    Theory of Modular Systems, 1916; Lazard, EUROCAL 1983).  Ranks do not
+    change under field extension, so c_D over F_p decides both ways:
+    "certified-smooth" at the first c_D = 0, "certified-singular" if
+    c_{k+1} > 0.  A first-hit scan of P^{k-1}(F_p), run when it has at most
+    DEFAULT_BUDGET points, first looks for a witness.
+
+    Over Q, rank over Q >= rank mod p: c_D = 0 at a prime of
+    REDUCTION_PRIMES that keeps dim K proves X_K smooth.  c_{k+1} > 0 at
+    each such prime is "singular-mod-p", evidence, not proof; with no such
+    prime the answer is "undecided".
     """
-    field = K.field
-    if isinstance(field, PrimeField):
-        status, wit, scanned, skipped = _prime_smoothness_scan(
-            K, field.p, max_degree, budget
-        )
-        return SmoothnessCertificate(status, max_degree, wit, scanned, skipped)
-    if isinstance(field, RationalField):
-        hits = []
-        scanned, skipped = [], []
-        for p in REDUCTION_PRIMES:
-            Kp = _reduce_mod_p(K, p)
-            if Kp is None:
-                skipped.append(p)
-                continue
-            status, wit, _, _ = _prime_smoothness_scan(Kp, p, max_degree, budget)
-            if status == "not-scanned":
-                skipped.append(p)
-                continue
-            scanned.append(p)
-            if status == "certified-singular":
-                hits.append(wit)
-        if scanned and len(hits) == len(scanned):
-            return SmoothnessCertificate(
-                "singular-mod-p",
-                max_degree,
-                hits[0],
-                tuple(scanned),
-                tuple(skipped),
-                notes="modular evidence at every scanned reduction prime",
-            )
-        status = "no-point-up-to-degree-M" if scanned else "not-scanned"
-        return SmoothnessCertificate(status, max_degree, None, tuple(scanned), tuple(skipped))
-    raise ValueError("smoothness_scan needs a prime field or the rationals")
+    if not 1 <= K.dim <= 5:
+        raise ValueError(f"smoothness is decided for 1 <= k <= 5, not k = {K.dim}")
+    if isinstance(K.field, PrimeField):
+        return _prime_smoothness_scan(K, K.field.p)
+    if not isinstance(K.field, RationalField):
+        raise ValueError("smoothness_scan needs a prime field or the rationals")
+    singular = None
+    for p in REDUCTION_PRIMES:
+        Kp = _reduce_mod_p(K, p)
+        if Kp.dim == K.dim:
+            cert = _prime_smoothness_scan(Kp, p)
+            if cert.smooth_so_far:
+                return cert
+            singular = singular or cert
+    if singular is None:
+        return SmoothnessCertificate("undecided", None, (), None)
+    return replace(singular, status="singular-mod-p")
 
 
-def _reduce_mod_p(K: Subspace, p: int):
-    fp = PrimeField(p)
-    rows = []
-    for row in K.basis:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        rows.append(tuple((x.numerator * denom // x.denominator) % p for x in row))
-    Kp = Subspace(fp, K.ambient_dim, rows)
-    return Kp if Kp.dim == K.dim else None
+def _reduce_mod_p(K: Subspace, p: int) -> Subspace:
+    """The span mod p of K's basis rows, each cleared of denominators."""
+    rows = [[x * math.lcm(*(y.denominator for y in row)) for x in row] for row in K.basis]
+    return Subspace(PrimeField(p), K.ambient_dim, [[int(x) % p for x in row] for row in rows])
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
     k: int
-    smoothness: SmoothnessCertificate
+    smoothness: SmoothnessCertificate | None  # None for k >= 6
     label: str
     rho_data: tuple | None  # (rank, corank) of the relevant form, when computed
     notes: str = ""
@@ -210,17 +242,14 @@ def _is_very_special(field: Field, basis) -> bool:
     return dim == 5 and iso
 
 
-def classify(
-    K: Subspace,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-    budget: int = DEFAULT_BUDGET,
-) -> ClassificationReport:
+def classify(K: Subspace) -> ClassificationReport:
     """Taxonomy: k=1 singular/smooth hyperplane; k=2 special/nonspecial via
     the line complex; k=3 very-special via the span of mu; k>=4 generic
-    with the rho_form rank reported."""
+    with the rho_form rank reported.  No smoothness for k >= 6, where P(K)
+    meets X^v by dimension."""
     field = K.field
     k = K.dim
-    cert = smoothness_scan(K, max_degree, budget)
+    cert = smoothness_scan(K) if k <= 5 else None
     notes = ""
     if field.char == 2 and k in (2, 3):
         notes = "char-2 fallback: gamma-span test (equivalence unproven)"
@@ -310,75 +339,55 @@ def w_u3(field: Field, u3: Subspace) -> Subspace:
     return w
 
 
-def make_section(
-    kind: str,
-    field: Field,
-    seed: int = 0,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-    budget: int = DEFAULT_BUDGET,
-) -> SectionK:
+def make_section(kind: str, field: Field, seed: int = 0) -> SectionK:
     """Construct a section of the requested kind (deterministic in the seed).
 
     kind: "special", "very-special", or "generic-k" with k in 1..8.
     """
     rng = random.Random(seed)
     if kind == "special":
-        return _make_special(field, rng, max_degree, budget)
+        return _make_special(field, rng)
     if kind == "very-special":
-        return _make_very_special(field, rng, max_degree, budget)
+        return _make_very_special(field, rng)
     if kind.startswith("generic-"):
         k = int(kind.split("-", 1)[1])
         if not 1 <= k <= 8:
             raise ValueError("generic-k needs k in 1..8")
-        return _make_generic(field, rng, k, max_degree, budget)
+        return _make_generic(field, rng, k)
     raise ValueError(f"unknown section kind {kind!r}")
 
 
-def _smooth(K, max_degree, budget):
-    cert = smoothness_scan(K, max_degree, budget)
-    if cert.status == "not-scanned":
-        # the skipped degrees depend only on (q, k, max_degree, budget)
-        raise ValueError(
-            f"budget {budget} scans no degree up to {max_degree}: smoothness cannot be checked"
-        )
-    return cert.smooth_so_far
-
-
-def _make_special(field, rng, max_degree, budget):
+def _make_special(field, rng):
     for _ in range(MAX_TRIES):
         u3 = random_isotropic(field, rng, 3)
         w = w_u3(field, u3)
         wperp = perp_in_minus(w)
         for _ in range(20):
             K = _random_subspace_of(wperp, rng, 2)
-            if not _smooth(K, max_degree, budget):
-                continue
-            if not _is_special_pencil(field, K.basis):
-                continue
-            return SectionK.make(K)
+            if smoothness_scan(K).smooth_so_far and _is_special_pencil(field, K.basis):
+                return SectionK.make(K)
     raise RuntimeError("retry budget exhausted for special section")
 
 
-def _make_very_special(field, rng, max_degree, budget):
+def _make_very_special(field, rng):
     for _ in range(MAX_TRIES):
         tau = random_pure_witness(field, rng, MINUS)
         perp = perp_in_minus(span_pi4(tau))
         for _ in range(20):
             K = _random_subspace_of(perp, rng, 3)
-            if not _smooth(K, max_degree, budget):
-                continue
-            return SectionK.make(K)
+            if smoothness_scan(K).smooth_so_far:
+                return SectionK.make(K)
     raise RuntimeError("retry budget exhausted for very-special section")
 
 
-def _make_generic(field, rng, k, max_degree, budget):
+def _make_generic(field, rng, k):
     for _ in range(MAX_TRIES):
         K = Subspace(
             field, DIM_S, [random_spinor(field, rng, MINUS) for _ in range(k)]
         )
         if K.dim != k:
             continue
-        if k <= 5 and not _smooth(K, max_degree, budget):
+        if k <= 5 and not smoothness_scan(K).smooth_so_far:
             continue
         if k == 2 and _is_special_pencil(field, K.basis):
             continue

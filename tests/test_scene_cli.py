@@ -19,7 +19,6 @@ from spinor10.scene import (
     parse_scene,
     section_scene,
 )
-from spinor10.sections import DEFAULT_BUDGET, DEFAULT_MAX_DEGREE
 
 F5 = PrimeField(5)
 
@@ -152,6 +151,13 @@ def test_cli_classify_pure_hyperplane(tmp_path, capsys):
     assert "label: singular-hyperplane" in out
 
 
+def test_cli_classify_refuses_an_empty_section(tmp_path, capsys):
+    p = tmp_path / "s.json"
+    p.write_text(emit_scene(Scene(F5, 0, (SceneObject("K", "section", ()),))))
+    code, out, err = run_cli(["classify", "--scene", str(p)], capsys)
+    assert (code, out) == (2, "") and err.startswith("error: smoothness is decided")
+
+
 def test_cli_member_and_gamma(capsys):
     pure = ",".join(["1"] + ["0"] * 15)
     code, out, _ = run_cli(
@@ -232,9 +238,6 @@ def test_cli_defaults_are_declared_per_subcommand():
     for argv in (["count"], ["verify", "motive"]):
         args = parser.parse_args(argv)
         assert (args.ext_degree, args.budget) == (1, DEFAULT_COUNT_BUDGET)
-    for argv in (["classify", "--scene", "s.json"], ["make-section", "--kind", "special"]):
-        args = parser.parse_args(argv)
-        assert (args.ext_degree, args.budget) == (DEFAULT_MAX_DEGREE, DEFAULT_BUDGET)
 
 
 # Every flag a subcommand accepts is one its handler reads.
@@ -244,8 +247,8 @@ FLAGS = {
     "annihilator": {"field", "half", "coords", "scene", "object", "format"},
     "span": {"field", "kind", "half", "coords", "scene", "object", "format"},
     "rho": {"field", "coords", "coords2", "scene", "objects", "format"},
-    "classify": {"scene", "object", "ext-degree", "budget", "format"},
-    "make-section": {"field", "seed", "kind", "ext-degree", "budget", "out"},
+    "classify": {"scene", "object", "format"},
+    "make-section": {"field", "seed", "kind", "out"},
     "f4": {"scene", "object", "format"},
     "count": {"field", "seed", "k", "side", "ext-degree", "budget", "workers", "scene", "object"},
     "verify": {"suite", "field", "seed", "ext-degree", "budget", "workers", "sections", "format"},
@@ -265,7 +268,7 @@ def test_cli_subcommands_declare_only_the_flags_they_read():
         for name, p in subparsers.choices.items()
     }
     assert declared == FLAGS
-    assert sum(map(len, declared.values())) == 61
+    assert sum(map(len, declared.values())) == 57
 
 
 def exit_code(argv, capsys):
@@ -280,6 +283,8 @@ def test_cli_rejects_removed_commands_and_flags(capsys):
     assert exit_code(["report"], capsys)[0] == 2
     coords = ",".join(["1"] + ["0"] * 15)
     assert exit_code(["member", "--coords", coords, "--budget", "5"], capsys)[0] == 2
+    argv = ["make-section", "--kind", "special", "--ext-degree", "3"]
+    assert exit_code(argv, capsys)[0] == 2
 
 
 def test_cli_scene_errors_exit_2_without_traceback(tmp_path, capsys):
@@ -374,26 +379,6 @@ def test_cli_explicit_budget_equal_to_another_default_is_honoured(capsys):
     assert code == 1 and out == "" and "exceeds budget B" in err
 
 
-def test_cli_classify_honours_explicit_ext_degree(tmp_path, capsys, monkeypatch):
-    reports = []
-    real = cli.classify
-
-    def spy(*args, **kw):
-        reports.append(real(*args, **kw))
-        return reports[-1]
-
-    monkeypatch.setattr(cli, "classify", spy)
-    p = tmp_path / "pencil.json"
-    argv = ["make-section", "--kind", "generic-2", "--field", "3", "--seed", "1"]
-    assert run_cli(argv + ["--out", str(p)], capsys)[0] == 0
-    code, explicit, _ = run_cli(["classify", "--scene", str(p), "--ext-degree", "1"], capsys)
-    assert code == 0 and reports[-1].smoothness.scanned == (1,)
-    code, default, _ = run_cli(["classify", "--scene", str(p)], capsys)
-    cert = reports[-1].smoothness
-    assert code == 0 and sorted(cert.scanned + cert.skipped) == [1, 2, 3, 4, 5, 6]
-    assert default == explicit == "k: 2\nlabel: nonspecial\nsmoothness: no-point-up-to-degree-M\nnotes: \n"
-
-
 def test_cli_range_checked_flags_are_usage_errors(capsys):
     for argv in (
         ["count", "--field", "2", "--k", "1", "--ext-degree", "0"],
@@ -402,8 +387,6 @@ def test_cli_range_checked_flags_are_usage_errors(capsys):
         ["count", "--field", "2", "--budget", "-1"],
         ["verify", "motive", "--workers", "0"],
         ["verify", "k6", "--sections", "0"],
-        ["classify", "--scene", "s.json", "--ext-degree", "0"],
-        ["make-section", "--kind", "special", "--budget", "-5"],
     ):
         code, err = exit_code(argv, capsys)
         assert code == 2, argv
@@ -420,11 +403,15 @@ def test_cli_budget_that_scans_nothing_certifies_nothing(tmp_path, capsys):
     p.write_text(emit_scene(Scene(PrimeField(3), 0, (SceneObject("K", "section", (pure, other)),))))
     code, out, _ = run_cli(["classify", "--scene", str(p)], capsys)
     assert code == 0 and "smoothness: certified-singular" in out
-    code, out, _ = run_cli(["classify", "--scene", str(p), "--budget", "0"], capsys)
-    assert code == 0 and "smoothness: not-scanned" in out
-    argv = ["make-section", "--kind", "generic-2", "--field", "3", "--budget", "0"]
-    code, err = exit_code(argv, capsys)
-    assert code == 2 and err.startswith("error: budget 0 scans no degree")
+
+
+@pytest.mark.parametrize("kind", ["generic-1", "generic-2", "special"])
+def test_cli_sections_over_f7_are_certified_smooth(kind, tmp_path, capsys):
+    p = tmp_path / "s.json"
+    argv = ["make-section", "--kind", kind, "--field", "7", "--out", str(p)]
+    assert run_cli(argv, capsys) == (0, "", "")
+    code, out, _ = run_cli(["classify", "--scene", str(p)], capsys)
+    assert code == 0 and "smoothness: certified-smooth\n" in out
 
 
 def test_cli_entry_point_subprocess():

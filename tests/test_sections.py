@@ -1,14 +1,19 @@
 import random
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from spinor10.clifford import DIM_S, HalfSpinor, MINUS, PLUS, clifford_mul, pairing, v_basis
-from spinor10.fields import PrimeField, QQ
+from spinor10.fields import PrimeField, QQ, get_ext_field
 from spinor10.gamma import r_kappa_form, rho
-from spinor10.linalg import Subspace, identity_matrix, kernel_basis, mat, mat_vec, transpose
+from spinor10.linalg import Subspace, identity_matrix, kernel_basis, mat, mat_vec, rref, transpose
+from spinor10.scan import ext_zero_locus
 from spinor10.sections import (
     NonTransversalError,
     SectionK,
+    _hilbert_function,
+    _restricted_dual_forms,
     classify,
     make_section,
     perp_in_minus,
@@ -23,6 +28,7 @@ from spinor10.variety import is_pure, random_isotropic, random_pure_witness, ran
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def spin(field, half, *terms):
@@ -54,21 +60,140 @@ def test_smoothness_scan_pure_immediately_singular():
 
 def test_smoothness_scan_smooth_hyperplane():
     K = Subspace(F2, DIM_S, [smooth_kappa(F2)])
-    cert = smoothness_scan(K, max_degree=6)
+    cert = smoothness_scan(K)
     assert cert.smooth_so_far
+    assert (cert.status, cert.degree, cert.hilbert) == ("certified-smooth", 2, (0,))
 
 
 def test_smoothness_scan_dim2_high_degree():
+    # a common zero of binary quadrics lies in P^1(F_{q^2}), so a scan there
+    # decides a pencil exactly
     rng = random.Random(0)
-    found = 0
-    for _ in range(5):
-        K = Subspace(F2, DIM_S, [random_spinor(F2, rng, MINUS) for _ in range(2)])
+    # a pencil over F_2 that meets X^v in two conjugate points over F_4
+    pencils = [Subspace(F2, DIM_S, [
+        (0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 1),
+        (0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0),
+    ])]
+    for field in (F2, F3):
+        for n in range(12):
+            rows = [random_spinor(field, rng, MINUS) for _ in range(2)]
+            if n % 3 == 0:
+                rows[0] = random_pure_witness(field, rng, MINUS).spinor
+            pencils.append(Subspace(field, DIM_S, rows))
+    seen = set()
+    for K in pencils:
         if K.dim != 2:
             continue
-        cert = smoothness_scan(K, max_degree=12)
-        assert cert.status in ("certified-singular", "no-point-up-to-degree-M")
-        found += 1
-    assert found
+        points = ext_zero_locus(_restricted_dual_forms(K), get_ext_field(K.field.p, 2), 2)[0]
+        cert = smoothness_scan(K)
+        assert cert.status == ("certified-singular" if points else "certified-smooth")
+        assert cert.witness is not None or cert.hilbert[-1] == points
+        seen.add((cert.status, cert.degree))
+    assert seen == {("certified-singular", 1), ("certified-singular", 3), ("certified-smooth", 2)}
+
+
+def macaulay_hilbert(field, forms, k, D):
+    """dim S_D - rank of the dense Macaulay matrix: row m * f for every
+    quadric f and monomial m of degree D - 2, one column per monomial."""
+    cols = {m: j for j, m in enumerate(combinations_with_replacement(range(k), D))}
+    rows = []
+    for f in forms:
+        for m in combinations_with_replacement(range(k), D - 2):
+            row = [field.zero] * len(cols)
+            for i in range(k):
+                for j in range(i, k):
+                    c = cols[tuple(sorted(m + (i, j)))]
+                    row[c] = field.add(row[c], f[i][j])
+            rows.append(row)
+    return len(cols) - rref(field, rows)[1]
+
+
+def test_hilbert_function_matches_dense_macaulay_ranks():
+    rng = random.Random(21)
+    verdicts = set()
+    for field in (F2, F3, F5, F7):
+        for k in range(1, 6):
+            for n in range(3):
+                while True:
+                    rows = [random_spinor(field, rng, MINUS) for _ in range(k)]
+                    if n == 0:
+                        rows[0] = random_pure_witness(field, rng, MINUS).spinor
+                    K = Subspace(field, DIM_S, rows)
+                    if K.dim == k:
+                        break
+                forms = _restricted_dual_forms(K)
+                hilbert = _hilbert_function(forms, field.p, k)
+                top = 4 if k == 5 else k + 1
+                ref = [macaulay_hilbert(field, forms, k, D) for D in range(2, top + 1)]
+                padded = hilbert + (0,) * (len(ref) - len(hilbert))
+                assert padded[: len(ref)] == tuple(ref), (field.p, k, n)
+                if k <= 4:
+                    smooth = smoothness_scan(K).smooth_so_far
+                    assert smooth == (ref[-1] == 0), (field.p, k, n)
+                    verdicts.add(smooth)
+    assert verdicts == {True, False}
+
+
+# make_section("generic-5", F_3, seed=80 | 129) before smoothness was decided
+# exactly: X^v meets P(K) in 3 points over F_27 and 4 over F_81
+SINGULAR_GENERIC_5 = {
+    80: [
+        (1, 0, 0, 0, 0, 0, 1, 2, 1, 2, 0, 1, 0, 2, 0, 2),
+        (0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 2, 0, 0, 1),
+        (0, 0, 1, 0, 0, 1, 2, 2, 2, 2, 1, 0, 2, 0, 1, 1),
+        (0, 0, 0, 1, 0, 2, 1, 2, 0, 2, 2, 0, 2, 2, 0, 2),
+        (0, 0, 0, 0, 1, 0, 2, 1, 0, 1, 2, 1, 0, 2, 1, 0),
+    ],
+    129: [
+        (1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1, 2, 1, 2, 1, 0),
+        (0, 1, 0, 0, 0, 1, 2, 0, 1, 0, 1, 1, 0, 0, 1, 0),
+        (0, 0, 1, 0, 0, 2, 2, 1, 0, 0, 0, 1, 0, 2, 1, 2),
+        (0, 0, 0, 1, 0, 0, 0, 2, 1, 1, 2, 1, 0, 2, 0, 2),
+        (0, 0, 0, 0, 1, 0, 1, 1, 0, 1, 1, 2, 0, 0, 2, 0),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed, points", [(80, 3), (129, 4)])
+def test_generic_5_sections_singular_beyond_f9_are_certified_singular(seed, points):
+    K = Subspace(F3, DIM_S, SINGULAR_GENERIC_5[seed])
+    cert = smoothness_scan(K)
+    assert (cert.status, cert.degree, cert.hilbert[-1]) == ("certified-singular", 6, points)
+    if seed == 80:
+        assert ext_zero_locus(_restricted_dual_forms(K), get_ext_field(3, 3), 5)[0] == points
+    K = make_section("generic-5", F3, seed=seed).K
+    assert K != Subspace(F3, DIM_S, SINGULAR_GENERIC_5[seed])
+    assert smoothness_scan(K).status == "certified-smooth"
+
+
+def test_net_through_a_pure_spinor_at_large_p_is_certified_singular():
+    # P^2(F_65521) is over the witness-scan budget: the Hilbert function decides
+    field = PrimeField(65521)
+    rng = random.Random(6)
+    tau = random_pure_witness(field, rng, MINUS).spinor
+    K = Subspace(field, DIM_S, [tau] + [random_spinor(field, rng, MINUS) for _ in range(2)])
+    cert = smoothness_scan(K)
+    assert (cert.status, cert.degree, cert.witness) == ("certified-singular", 4, None)
+    assert cert.hilbert[-1] > 0
+
+
+def test_smoothness_is_not_decided_for_k_at_least_6():
+    # P(K) meets X^v by dimension (10 + k - 1 >= 15), so points say nothing
+    K = make_section("generic-6", F3, seed=2).K
+    with pytest.raises(ValueError, match="1 <= k <= 5"):
+        smoothness_scan(K)
+    with pytest.raises(ValueError, match="1 <= k <= 5"):
+        smoothness_scan(Subspace(F3, DIM_S, []))
+    for kind in ("generic-6", "generic-7", "generic-8"):
+        for field in (F2, F3):
+            assert classify(make_section(kind, field, seed=1).K).smoothness is None
+
+
+def test_smoothness_scan_refuses_extension_fields():
+    F4 = get_ext_field(2, 2)
+    K = Subspace(F4, DIM_S, [spin(F4, MINUS, (1,), (2, 3, 4))])
+    with pytest.raises(ValueError, match="prime field or the rationals"):
+        smoothness_scan(K)
 
 
 def _kernel(field, rows):
@@ -95,30 +220,17 @@ def test_orthogonals_match_kernels_of_scalar_pairing_rows():
             assert _f4_constraint_space(K) == _kernel(field, f4)
 
 
-def test_a_scan_that_skips_every_degree_certifies_nothing():
-    # a pencil through a pure spinor: X_K is singular
-    rng = random.Random(4)
-    tau = random_pure_witness(F3, rng, MINUS).spinor
-    K = Subspace(F3, DIM_S, [tau, random_spinor(F3, rng, MINUS)])
-    assert smoothness_scan(K).status == "certified-singular"
-    for cert in (smoothness_scan(K, budget=0), smoothness_scan(K, max_degree=0)):
-        assert cert.status == "not-scanned" and not cert.smooth_so_far
-        assert cert.scanned == () and cert.witness is None
-    assert classify(K, budget=0).smoothness.status == "not-scanned"
-    cert = smoothness_scan(Subspace(QQ, DIM_S, [smooth_kappa(QQ)]), budget=0)
-    assert (cert.status, cert.scanned, cert.skipped) == ("not-scanned", (), (3, 5, 7))
-    for kind in ("special", "very-special", "generic-2"):
-        with pytest.raises(ValueError, match="scans no degree"):
-            make_section(kind, F3, seed=1, budget=0)
-
-
 def test_smoothness_scan_rationals():
     K = Subspace(QQ, DIM_S, [smooth_kappa(QQ)])
-    cert = smoothness_scan(K, max_degree=3)
-    assert cert.smooth_so_far
+    assert smoothness_scan(K).status == "certified-smooth"
     Kp = Subspace(QQ, DIM_S, [pure_kappa(QQ)])
-    cert = smoothness_scan(Kp, max_degree=2)
-    assert cert.status == "singular-mod-p"
+    cert = smoothness_scan(Kp)
+    assert (cert.status, cert.witness) == ("singular-mod-p", (3, 1, (1,)))
+    # the basis rows e_1 + e_3/105 and e_2 + e_3/105 are equal mod 3, 5 and 7
+    e = [tuple(Fraction(int(i == j)) for j in range(DIM_S)) for i in range(3)]
+    rows = [tuple(a + b / 105 for a, b in zip(e[i], e[2])) for i in range(2)]
+    cert = smoothness_scan(Subspace(QQ, DIM_S, rows))
+    assert (cert.status, cert.degree, cert.witness) == ("undecided", None, None)
 
 
 def test_classify_hyperplanes():
