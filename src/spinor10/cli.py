@@ -32,6 +32,9 @@ from .spaces import f4_scan, span_pi4
 from .variety import annihilator, annihilator_kernel, mu, random_spinor, witness_from_spinor
 
 
+K6_SECTIONS = 5
+
+
 class CliError(Exception):
     pass
 
@@ -258,7 +261,7 @@ def _verify_blowup(args, field):
 def _verify_k6(args, field):
     rows = []
     rng = random.Random(args.seed)
-    while len(rows) < args.sections:
+    while len(rows) < (args.sections or K6_SECTIONS):
         K = Subspace(field, DIM_S, [random_spinor(field, rng, MINUS) for _ in range(6)])
         if K.dim == 6:
             rows.append(
@@ -273,6 +276,8 @@ def cmd_verify(args):
     field = field_spec(args.field)
     if not isinstance(field, PrimeField):
         raise CliError("verify needs a prime field")
+    if args.sections is not None and args.suite != "k6":
+        raise CliError("--sections applies only to the k6 suite")
     suites = {"motive": _verify_motive, "blowup": _verify_blowup, "k6": _verify_k6}
     rows = suites[args.suite](args, field)
     if args.format == "json":
@@ -371,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify, "run a named verification suite",
                 field, seed, count_limits, workers, fmt)
     p.add_argument("suite", choices=("motive", "blowup", "k6"))
-    p.add_argument("--sections", type=_int_at_least(1), default=5, help="sections for the k6 suite")
+    p.add_argument("--sections", type=_int_at_least(1),
+                   help=f"sections for the k6 suite (default {K6_SECTIONS})")
 
     return ap
 

@@ -4,38 +4,46 @@ blowup-fibration identity.
 
 A count is made one of two ways, with the same answer.  Large X_K are
 counted on the 16 affine charts of X (Chevalley's big cell s(A) moved by
-signed permutations): each chart is cut into fibres on which K's equations
-are linear in three unknowns, and each fibre contributes Q^(3 - rank)
-points or none.  Smaller X_K, and every X^v_K, are counted by scanning the
-normalized projective representatives of the ambient space in
-lexicographic order (see `scan`).  Both are deterministic and independent
-of the worker count.
+signed permutations): each chart is cut into at most Q^4 fibres, one per
+value of the four held entries a_i5, on which K's equations are affine
+linear in the six other entries a_ij plus at most one quadric, Pf_1234.  A
+fibre contributes Q^(6 - rank) points, or none, or the zeros of the quadric
+on the solutions, counted in closed form (`scan.quadric_points`).  Smaller
+X_K, and every X^v_K, are counted by scanning the normalized projective
+representatives of the ambient space in lexicographic order (see `scan`).
+Both are deterministic and independent of the worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
 from .clifford import CHARTS, DIM_S, MINUS, PFAFFIAN_TERMS, PLUS, MU_INT, SUBSET_INDEX, pairing_rows
 from .fields import PrimeField, get_ext_field
 from .linalg import Subspace, rref
-from .scan import affine_fibre_count, ext_zero_locus, num_projective_points, zero_locus
+from .scan import (
+    affine_solve, ext_zero_locus, field_tables, fp_map, in_blocks, num_projective_points,
+    quadric_points, zero_locus,
+)
 from .sections import perp_in_plus
 from .variety import restrict_quadric
 
 DEFAULT_COUNT_BUDGET = 1 << 26
 # count_section_points counts X_K on the charts when n = #P(K^perp)(F_Q)
-# exceeds CHART_CROSSOVER * 16 Q^7 (16 charts of at most Q^7 fibres each)
+# exceeds CHART_CROSSOVER[m > 1] * 16 Q^4 (16 charts of at most Q^4 fibres)
 # and scans P(K^perp) otherwise.  Measured on a 2-core Xeon with one BLAS
-# thread, in ratios n / (16 Q^7): the charts win at every ratio of 16 and
-# more, by 1.7x (Q = 2, ratio 16) to 105x (Q = 4, ratio 341), and at 5.3
-# to 9.8 by 1.1x to 3x (Q = 3, 4, 5, generic K and K through a pure
-# spinor); the scan wins at every ratio of 4 and less, by 1.9x to 18x
-# (Q = 2, 3, 4, 5, 7).  In between, at 8, Q = 2 takes 6-7 ms on the charts
-# against 4 ms on the scan, fixed cost that no larger field pays.
-CHART_CROSSOVER = 5
+# thread, in ratios n / (16 Q^4), generic K and K through a pure spinor:
+# over F_p the scan wins by 1.1x to 3.5x at ratios 25 to 68 (Q = 7 at 25,
+# 5 at 49, 2 at 64, 3 at 68) and by 3x at 4 (Q = 2), the charts by 1.6x to
+# 2.1x from 128 up (Q = 2 at 128, 7 at 175, 3 at 205, 5 at 244).  Over
+# F_{p^m}, whose scan walks log/exp tables, the scan wins by 1.4x to 8x at
+# ratios up to 21 (Q = 4, 8, 9) and the charts by 1.8x to 3.5x from 51 up
+# (Q = 9 at 51, 4 at 85); Q = 8 at 37 goes either way (0.6x to 1.45x).
+CHART_CROSSOVER = (100, 32)
 
 # Multiplicities n_0..n_{10-k} of the Lefschetz powers in the integral
 # motive of X (k = 0) and of its smooth hyperplane sections (k = 1).
@@ -89,68 +97,51 @@ def _section_space(K: Subspace, side: str):
     raise ValueError("side must be 'X' or 'X^v'")
 
 
-# The big cell s(A) with the seven entries of _FIXED held: every coordinate
-# is affine in the three entries a_12, a_13, a_23 of _VARYING, since any two
-# of them share an index and so no Pfaffian term multiplies two of them.
+# The big cell s(A) with the four entries a_i5 (_HELD) held: Pf_1234 is a
+# split quadric in the six a_ij, i < j <= 4 (_UNKNOWN), and every other
+# coordinate is affine in them, since each term of a Pf_ijk5 has one a_l5.
 _PAIR = SUBSET_INDEX[PLUS]
-_VARYING = (_PAIR[(1, 2)], _PAIR[(1, 3)], _PAIR[(2, 3)])
-_FIXED = tuple(_PAIR[s] for s in ((1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)))
-# Column order of a chart's equations: the 8 coordinates that vary along a
-# fibre, the 7 fixed entries, then the constant coordinate s_{} = 1.
-_ORDER = _VARYING + tuple(PFAFFIAN_TERMS) + _FIXED + (0,)
+_UNKNOWN = tuple(_PAIR[s] for s in combinations(range(1, 5), 2))
+_HELD = tuple(_PAIR[(i, 5)] for i in range(1, 5))
+_PF = _PAIR[(1, 2, 3, 4)]
+# Column order of a chart's equations: Pf_1234, the 6 unknowns, the 4
+# Pf_ijk5, the 4 held entries, then the constant coordinate s_{} = 1.
+_ORDER = (_PF,) + _UNKNOWN + tuple(_PAIR[(*s, 5)] for s in combinations(range(1, 5), 3)) + _HELD + (0,)
+FIBRE_BLOCK = 1 << 12
 
 
-def _big_cell():
-    """(products, table): s(A)_S = sum_t a_t (table[S, t] . phi) + table[S, 3]
-    . phi, for a_t the _VARYING entries, x the _FIXED entries and phi = [x,
-    x_i x_j for (i, j) in products, 1]; the rows S are in _ORDER."""
-    fixed = {s: i for i, s in enumerate(_FIXED)}
-    products = [
-        (fixed[u], fixed[v])
-        for terms in PFAFFIAN_TERMS.values()
-        for _, u, v in terms
-        if u in fixed and v in fixed
-    ]
-    one = len(_FIXED) + len(products)
-    table = np.zeros((DIM_S, 4, one + 1), dtype=np.int64)
-    table[0, 3, one] = 1
-    for t, s in enumerate(_VARYING):
-        table[s, t, one] = 1
-    for s, i in fixed.items():
-        table[s, 3, i] = 1
-    for s, terms in PFAFFIAN_TERMS.items():
-        for sign, u, v in terms:
-            if u in fixed and v in fixed:
-                table[s, 3, len(_FIXED) + products.index((fixed[u], fixed[v]))] += sign
-            else:
-                if u in fixed:
-                    u, v = v, u
-                table[s, _VARYING.index(u), fixed[v]] += sign
-    return products, table[list(_ORDER)]
+def _cell():
+    """(16, 5, 7): s(A)_S = [x, 1] @ table[S] @ [a, 1] for S in _ORDER, x the
+    held and a the unknown entries; 0 for Pf_1234."""
+    table = np.zeros((DIM_S, 5, 7), dtype=np.int64)
+    table[np.arange(1, 7), 4, np.arange(6)] = 1
+    for r in range(7, 11):
+        for sign, u, v in PFAFFIAN_TERMS[_ORDER[r]]:
+            u, v = (v, u) if u in _HELD else (u, v)
+            table[r, _HELD.index(v), _UNKNOWN.index(u)] = sign
+    table[np.arange(11, 16), np.arange(5), 6] = 1
+    return table
 
 
-_PRODUCTS, _BIG_CELL = _big_cell()
+_CELL = _cell()
 
 
-def count_on_charts(K: Subspace, m: int = 1) -> int:
-    """#X_K(F_{p^m}) as the sum over the 16 coordinates c of the points of
-    X_K whose first nonzero coordinate is c.
+def _chart_fibres(K: Subspace, tables):
+    """The fibres of every chart in (n, 78) arrays of at most FIBRE_BLOCK
+    rows: 1 where the fibre has a Pf_1234 row, then 11 rows [a coefficients,
+    constant], first that of Pf_1234 + l(a) + c (or 0), then the linear ones.
 
-    Those are the g_c s(A) (`clifford.CHARTS`, `PFAFFIAN_TERMS`) on which
-    K's pairing rows and the coordinates before c vanish: linear equations
-    in the coordinates of s(A), with F_p coefficients.  A coordinate before
-    c is one coordinate of s(A), so its unit row clears that column from
-    the pairing rows, which are then reduced with the columns in _ORDER.
-    The rows without a varying coordinate cut the 7 fixed entries to an
-    affine subspace (or empty the chart, when one is the constant 1), and
-    over each of its points the other rows, at most 8, are a linear system
-    in the 3 varying entries (`scan.affine_fibre_count`).
-    """
-    field = K.field
+    The points of X_K whose first nonzero coordinate is c are the g_c s(A)
+    (`clifford.CHARTS`) on which K's pairing rows and the coordinates before
+    c vanish: linear equations in the coordinates of s(A), with F_p
+    coefficients.  A coordinate before c is one coordinate of s(A), so its
+    unit row clears that column from the pairing rows, which are then
+    reduced with the columns in _ORDER.  The rows with a held pivot cut the
+    held entries to x = [t, 1] @ pmap, t in F_Q^free (or empty the chart,
+    when a pivot is the constant 1); the others are affine over each x."""
+    field, q = K.field, tables.q
     p = field.p
-    target = p if m == 1 else get_ext_field(p, m)
     kappa = pairing_rows(K, MINUS)
-    total = 0
     for c, chart in enumerate(CHARTS):
         # <w, g_c s> = sum_S w[g_c(S)] sign_S s_S
         units = [i for i, s in enumerate(_ORDER) if chart[s][0] < c]
@@ -165,20 +156,59 @@ def count_on_charts(K: Subspace, m: int = 1) -> int:
         eqs = np.zeros((len(heads), DIM_S), dtype=np.int64)
         eqs[:rank] = np.array(red[:rank], dtype=np.int64).reshape(rank, DIM_S)
         eqs[np.arange(rank, len(heads)), units] = 1
-        lin = [r for r, j in enumerate(heads) if j < 8]
-        held = {j - 8: eqs[r] for r, j in enumerate(heads) if j >= 8}
-        free = [i for i in range(len(_FIXED)) if i not in held]
-        # x = [t, 1] @ pmap: the free entries are t, the held ones solved
-        pmap = np.zeros((len(free) + 1, len(_FIXED)), dtype=np.int64)
-        pmap[np.arange(len(free)), free] = 1
+        held = {j - 11: eqs[r] for r, j in enumerate(heads) if j >= 11}
+        free = [i for i in range(4) if i not in held]
+        pmap = np.zeros((len(free) + 1, 5), dtype=np.int64)
+        pmap[np.arange(len(free) + 1), free + [4]] = 1
         for i, row in held.items():
-            pmap[:, i] = -row[[8 + f for f in free] + [DIM_S - 1]] % p
-        if not lin:
-            total += (p**m) ** (len(free) + 3)
-            continue
-        gamma = np.einsum("rs,stf->frt", eqs[lin], _BIG_CELL).reshape(-1, 4 * len(lin)) % p
-        total += affine_fibre_count(target, len(free), pmap, _PRODUCTS, gamma)
+            pmap[:, i] = -row[[11 + f for f in free] + [DIM_S - 1]] % p
+        fibre = [r for j, r in sorted((j, r) for r, j in enumerate(heads) if j < 11)]
+        quadric = int(0 in heads)
+        g = np.zeros((5, 11, 7), dtype=np.int64)
+        g[:, 1 - quadric : 1 - quadric + len(fibre)] = np.einsum("rs,sxy->xry", eqs[fibre], _CELL)
+        g = pmap @ g.reshape(5, -1) % p
+        n = q ** len(free)
+        for lo in range(0, n, FIBRE_BLOCK):
+            idx = np.arange(lo, min(lo + FIBRE_BLOCK, n), dtype=np.int64)
+            t = [idx // q ** (len(free) - 1 - i) % q for i in range(len(free))] + [np.ones_like(idx)]
+            yield np.column_stack((np.full(len(idx), quadric), fp_map(tables, np.column_stack(t), g)))
+
+
+def count_on_charts(K: Subspace, m: int = 1) -> int:
+    """#X_K(F_{p^m}) as the sum over the 16 coordinates c of the points of
+    X_K whose first nonzero coordinate is c, fibre by fibre (`_chart_fibres`).
+
+    Over each of the at most 16 Q^4 held points, Q = p^m, the linear rows
+    are solved for the six unknowns (`scan.affine_solve`): a fibre without
+    the Pf_1234 row has Q^(6 - rank) points, or none.  On a fibre with it,
+    Pf_1234 + l(a) + c is restricted to the solutions a = sol [t, 1] and
+    homogenized, and its affine zeros come from `scan.quadric_points`.
+    """
+    p = K.field.p
+    tables = field_tables(p if m == 1 else get_ext_field(p, m))
+    q, total = tables.q, 0
+    for f in in_blocks(_chart_fibres(K, tables), FIBRE_BLOCK):
+        quadric, e = f[:, 0] == 1, f[:, 1:].reshape(len(f), 11, 7)
+        rank, ok, sol = affine_solve(tables, e[:, 1:])
+        total += sum(int(n) * q ** (6 - r) for r, n in enumerate(np.bincount(rank[ok & ~quadric])))
+        on = ok & quadric
+        if on.any():
+            whole, hyper = quadric_points(tables, _pfaffian_forms(tables, e[on, 0], sol[on]))
+            total += sum(((whole - hyper) // ((q - 1) * q ** rank[on])).tolist())
     return total
+
+
+def _pfaffian_forms(tables, row, sol):
+    """Pf_1234(a) + y l(a) + c y^2 for a = sol z, z = [t, y], and the rows
+    [l, c]: (n, 7, 7) forms in z."""
+    mul, add = tables.mul, tables.add
+    forms = np.zeros((len(row), 7, 7), dtype=np.int64)
+    for sign, u, v in PFAFFIAN_TERMS[_PF]:
+        term = mul(sol[:, _UNKNOWN.index(u), :, None], sol[:, _UNKNOWN.index(v), None, :])
+        forms = add(forms, term if sign > 0 else tables.neg(term))
+    forms[:, :, 6] = reduce(add, (mul(row[:, u, None], sol[:, u]) for u in range(6)), forms[:, :, 6])
+    forms[:, 6, 6] = add(forms[:, 6, 6], row[:, 6])
+    return forms
 
 
 def count_section_points(
@@ -192,11 +222,11 @@ def count_section_points(
     """Exact number of F_{q^m}-points of X_K (side "X") or X^v_K ("X^v").
 
     Side "X" is counted on the 16 charts of X (`count_on_charts`) when
-    #P(K^perp)(F_{q^m}) exceeds CHART_CROSSOVER * 16 q^(7m); otherwise, and
-    for side "X^v", the points of P(K^perp) resp. P(K) are scanned
-    (`workers` threads, same count for any number).  The budget bounds what
-    the chosen method enumerates, 16 q^(7m) fibres or the scanned points:
-    more is refused with BudgetExceededError.
+    #P(K^perp)(F_{q^m}) exceeds CHART_CROSSOVER[m > 1] * 16 q^(4m);
+    otherwise, and for side "X^v", the points of P(K^perp) resp. P(K) are
+    scanned (`workers` threads, same count for any number).  The budget
+    bounds what the chosen method enumerates, 16 q^(4m) fibres or the
+    scanned points: more is refused with BudgetExceededError.
     """
     field = K.field
     if not isinstance(field, PrimeField):
@@ -209,8 +239,8 @@ def count_section_points(
     if d == 0:
         return 0
     n = num_projective_points(q**m, d)
-    fibres = 16 * q ** (7 * m)
-    on_charts = side == "X" and n > CHART_CROSSOVER * fibres
+    fibres = 16 * q ** (4 * m)
+    on_charts = side == "X" and n > CHART_CROSSOVER[m > 1] * fibres
     if (fibres if on_charts else n) > budget:
         what = f"chart count of {fibres} fibres" if on_charts else f"scan of {n} points"
         raise BudgetExceededError(f"{what} (q={q}, m={m}, d={d}) exceeds budget {budget}")

@@ -12,8 +12,9 @@ with a constant, so its roots are solved for a whole block of prefixes at
 once, and only the (prefix, root) candidates, in (prefix, t) order, go
 through the other forms.
 
-The same field tables solve batches of small linear systems over F_q
-(`fibre_sizes`, `affine_fibre_count`): the fibres of the chart counts in
+The same field tables solve batches of small affine systems
+(`affine_solve`) and count the zeros of batches of quadratic forms in
+closed form (`quadric_points`): the fibres of the chart counts in
 `counting`.
 """
 
@@ -26,7 +27,6 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 BLOCK = 1 << 14
-FIBRE_BLOCK = BLOCK // 4
 
 
 def num_projective_points(q: int, d: int) -> int:
@@ -53,17 +53,20 @@ def projective_blocks(q: int, d: int, dtype=np.int64, width=None):
     handful of rows at large q.  Consecutive pieces are merged into blocks
     of at most BLOCK rows, so small scans take few blocks.
     """
-    def joined(parts):
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return in_blocks(_pieces(q, d, dtype, width or d), BLOCK)
 
+
+def in_blocks(pieces, limit: int):
+    """Consecutive arrays of pieces joined into blocks of at most limit rows
+    (a longer piece is a block of its own)."""
     pending = []
-    for piece in _pieces(q, d, dtype, width or d):
-        if pending and sum(map(len, pending)) + len(piece) > BLOCK:
-            yield joined(pending)
+    for piece in pieces:
+        if pending and sum(map(len, pending)) + len(piece) > limit:
+            yield pending[0] if len(pending) == 1 else np.concatenate(pending)
             pending = []
         pending.append(piece)
     if pending:
-        yield joined(pending)
+        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
 
 
 def _pieces(q, d, dtype, width):
@@ -399,7 +402,12 @@ def ext_zero_locus(forms, ext, d: int, *, find_first: bool = False, workers: int
     return _scan(tables, d, np.int64, terms, mode, workers)
 
 
-def _fp_map(tables, v, a):
+def field_tables(field):
+    """The code tables of F_p (field the prime p) or of an ExtField."""
+    return _prime_tables(field) if isinstance(field, int) else _tables_for(field)
+
+
+def fp_map(tables, v, a):
     """v @ a for (n, r) field codes v and an (r, c) int matrix a over F_p.
     An F_p-linear map acts on each base-p digit of the codes alone, and a
     float64 product of digits is exact: r (p - 1)^2 < 2^53."""
@@ -410,48 +418,88 @@ def _fp_map(tables, v, a):
     return out
 
 
-def fibre_sizes(tables, e):
-    """#{a in F_q^u : e_i [a, 1] = 0} for each system e_i of an (n, rows,
-    u + 1) array of field codes: q^(u - rank), or 0 when inconsistent.
-
-    Column j is eliminated on every system at once with its first row that
-    is nonzero there; that row cancels itself, so after the last column
-    only the constants of the rows off the pivots are left, all 0 exactly
-    when the system is consistent."""
+def affine_solve(tables, e):
+    """Gauss-Jordan on each system e_i [a, 1] = 0, a in F_q^u, of an (n,
+    rows, u + 1) array of codes: (rank, ok, sol), ok marking the consistent
+    systems, whose solutions are sol_i [t, 1] for t in F_q^u, each q^rank
+    times.  Column j is cleared with the first unused row nonzero there (0
+    left of j), which cancels itself and is put back normalized."""
+    mul, add, neg = tables.mul, tables.add, tables.neg
     e = np.array(e, dtype=np.int64)
-    n, u = len(e), e.shape[2] - 1
-    at = np.arange(n)
-    rank = np.zeros(n, dtype=np.int64)
+    n, rows, u = e.shape[0], e.shape[1], e.shape[2] - 1
+    at, used, prow = np.arange(n), np.zeros((n, rows), dtype=bool), np.zeros((n, u), dtype=np.int64)
     for j in range(u):
-        col = e[:, :, j]
-        head = e[at, (col != 0).argmax(axis=1)]
-        rank += head[:, j] != 0
-        # e_i -= e_ij / h_j * h on the columns not yet eliminated
-        head = tables.mul(head[:, j + 1 :], tables.neg(tables.inv[head[:, j]])[:, None])
-        e[:, :, j + 1 :] = tables.add(e[:, :, j + 1 :], tables.mul(col[:, :, None], head[:, None, :]))
-    ok = ~e[:, :, u].any(axis=1)
-    return np.where(ok, tables.q ** (u - rank), 0)
+        live = (e[:, :, j] != 0) & ~used
+        has, r = live.any(axis=1), live.argmax(axis=1)
+        head = mul(e[at, r, j + 1 :], neg(tables.inv[np.where(has, e[at, r, j], 0)])[:, None])
+        e[:, :, j + 1 :] = add(e[:, :, j + 1 :], mul(e[:, :, j, None], head[:, None, :]))
+        e[at[has], r[has], j + 1 :] = neg(head[has])
+        used[at[has], r[has]] = True
+        prow[:, j] = np.where(has, r, -1)
+    pivot = prow >= 0
+    sol = np.where(pivot[:, :, None], neg(e[at[:, None], prow]), np.eye(u, u + 1, dtype=np.int64))
+    sol[:, :, :u] *= ~pivot[:, None, :]
+    return used.sum(axis=1), ~((e[:, :, u] != 0) & ~used).any(axis=1), sol
 
 
-def affine_fibre_count(field, free: int, pmap, products, gamma) -> int:
-    """Sum of `fibre_sizes` over x = [t, 1] @ pmap for t in F_q^free, over
-    F_p (field the prime p) or F_{p^m} (field an ExtField).
+def quadric_points(tables, forms):
+    """Zeros in F_q^d of each form z^T c z, c an (n, d, d) array of codes
+    (upper-triangular, or any), and of its restriction to z_{d-1} = 0; the
+    difference is q - 1 times the zeros of the affine form at z_{d-1} = 1.
 
-    The fibre over x is the linear system whose rows, flattened, are
-    phi(x) @ gamma, with phi(x) = [x, x_i x_j for (i, j) in products, 1]:
-    coefficients and constants that are F_p-polynomials in x.  The t are
-    taken in blocks of FIBRE_BLOCK, which bounds the arrays of a block by
-    about 1 MB each.
-    """
-    tables = _prime_tables(field) if isinstance(field, int) else _tables_for(field)
-    q, total = tables.q, 0
-    shape = (-1, gamma.shape[1] // 4, 4)
-    for lo in range(0, q**free, FIBRE_BLOCK):
-        idx = np.arange(lo, min(lo + FIBRE_BLOCK, q**free), dtype=np.int64)
-        ones = np.ones((len(idx), 1), dtype=np.int64)
-        t = [idx // q ** (free - 1 - i) % q for i in range(free)]
-        x = _fp_map(tables, np.column_stack(t + [ones]), pmap)
-        prods = [tables.mul(x[:, i], x[:, j]) for i, j in products]
-        phi = np.column_stack([x] + prods + [ones])
-        total += int(fibre_sizes(tables, _fp_map(tables, phi, gamma).reshape(shape)).sum())
-    return total
+    Rank r, h = r // 2: q^(d-1) + eps (q - 1) q^(d-1-h) zeros (Lidl and
+    Niederreiter, Finite Fields, ch. 6).  Odd q: the symmetric matrix is
+    diagonalized by congruence; eps = 0 for odd r, else +-1 as (-1)^h times
+    the product of the pivots is a square or not.  Even q: hyperbolic pairs
+    (e, f) of the polar form b are split off; eps = 0 if the form is
+    nonzero on the radical of b, else +-1 as the Arf invariant, the sum of
+    F(e) F(f), is some u^2 + u or not.  Pivots are taken in z_0..z_{d-2}
+    first, so one elimination gives both counts."""
+    mul, add = tables.mul, tables.add
+    c = np.asarray(forms, dtype=np.int64)
+    n, d = c.shape[:2]
+    q, p, at, ii = tables.q, tables.p, np.arange(n), np.arange(d)
+    if q**d >= 1 << 62:
+        raise ValueError(f"q = {q}, d = {d}: zero counts exceed int64")
+    b, fv = add(c, c.transpose(0, 2, 1)), c[:, ii, ii]
+    if p > 2:
+        b = mul(b, (p + 1) // 2)
+    # disc: the product of the pivots (odd q) or the Arf sum (even q)
+    rank, disc, out = np.zeros(n, dtype=np.int64), np.full(n, int(p > 2)), []
+    for a in (d - 1, d):
+        for _ in range(a):
+            nz = b[:, :a, :a] != 0
+            if not nz.any():
+                break
+            if p == 2:
+                # z_v += b(v, f) e + b(v, e) f for e = z_i, f = z_j / b_ij
+                i, j = np.divmod(nz.reshape(n, -1).argmax(axis=1), a)
+                ib = tables.inv[b[at, i, j]]
+                be, bf = b[at, :, i], mul(b[at, :, j], ib[:, None])
+                fe, ff = fv[at, i], mul(fv[at, j], mul(ib, ib))
+                disc = add(disc, mul(fe, ff))
+                fv = add(fv, add(mul(be, bf), add(mul(mul(bf, bf), fe[:, None]), mul(mul(be, be), ff[:, None]))))
+                cross = mul(be[:, :, None], bf[:, None, :])
+                b = add(b, add(cross, cross.transpose(0, 2, 1)))
+                rank += 2 * (ib != 0)
+                continue
+            diag = nz[:, ii[:a], ii[:a]]
+            fix = np.flatnonzero(~diag.any(axis=1) & nz.any(axis=(1, 2)))
+            # no square term: z_i += z_l makes b_ii = 2 b_il nonzero
+            i, l = np.divmod(nz[fix].reshape(len(fix), a * a).argmax(axis=1), a)
+            b[fix, i] = add(b[fix, i], b[fix, l])
+            b[fix, :, i] = add(b[fix, :, i], b[fix, :, l])
+            diag[fix, i] = True
+            i = diag.argmax(axis=1)
+            piv, col = b[at, i, i], b[at, :, i]
+            b = add(b, mul(col[:, :, None], mul(col, tables.neg(tables.inv[piv])[:, None])[:, None, :]))
+            rank += piv != 0
+            disc = mul(disc, np.where(piv != 0, piv, 1))
+        h = rank // 2
+        if p == 2:
+            eps = np.where((fv[:, :a] != 0).any(axis=1), 0, 2 * (tables.artin[disc] >= 0) - 1)
+        else:
+            eps = np.where(rank % 2, 0, 2 * (tables.sqrt[mul(disc, np.where(h % 2, p - 1, 1))] >= 0) - 1)
+        pw = q ** np.arange(max(a, 1), dtype=np.int64)
+        out.append(pw[a - 1] + eps * (q - 1) * pw[a - 1 - h] if a else np.ones(n, dtype=np.int64))
+    return out[1], out[0]

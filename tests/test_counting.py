@@ -118,12 +118,12 @@ def test_budget_error():
 
 def test_budget_bounds_the_chart_fibres_not_the_scan():
     # P^15(F_4) and P^15(F_5) are far over the default budget, but the charts
-    # enumerate 16 Q^7 fibres: 262144 over F_4
+    # enumerate 16 Q^4 fibres: 4096 over F_4
     K0 = Subspace(F2, DIM_S, [])
     assert count_section_points(K0, "X", 2) == predicted_count(0, 4) == 1419925
-    assert count_section_points(K0, "X", 2, budget=262144) == 1419925
-    with pytest.raises(BudgetExceededError, match="262144 fibres .* exceeds budget 262143"):
-        count_section_points(K0, "X", 2, budget=262143)
+    assert count_section_points(K0, "X", 2, budget=4096) == 1419925
+    with pytest.raises(BudgetExceededError, match="4096 fibres .* exceeds budget 4095"):
+        count_section_points(K0, "X", 2, budget=4095)
     assert count_section_points(Subspace(PrimeField(5), DIM_S, []), "X") == 12304656
     # the scan path still refuses by its points: P^4(F_32) on the X^v side
     K5 = make_section("generic-5", F2, seed=0).K

@@ -215,12 +215,33 @@ def test_cli_verify_suites_count_over_the_ext_degree(suite, ks, capsys):
 
 
 def test_cli_count_budget_bounds_the_chart_fibres(capsys):
-    # X(F_4): P^15(F_4) is over the default budget, its 262144 chart fibres are not
-    assert run_cli(["count", "--field", "2", "--k", "0", "--ext-degree", "2"], capsys)[:2] == (
-        0, "1419925\n")
-    argv = ["count", "--field", "2", "--k", "0", "--ext-degree", "2", "--budget", "262143"]
-    code, out, err = run_cli(argv, capsys)
-    assert (code, out) == (1, "") and "exceeds budget 262143" in err
+    # X(F_4): P^15(F_4) is over the default budget, its 16 * 4^4 chart fibres are not
+    argv = ["count", "--field", "2", "--k", "0", "--ext-degree", "2"]
+    assert run_cli(argv, capsys)[:2] == (0, "1419925\n")
+    assert run_cli(argv + ["--budget", "4096"], capsys)[:2] == (0, "1419925\n")
+    code, out, err = run_cli(argv + ["--budget", "4095"], capsys)
+    assert (code, out) == (1, "") and "4096 fibres" in err and "exceeds budget 4095" in err
+
+
+@pytest.mark.parametrize("argv, k, q", [
+    (["count", "--field", "7", "--k", "3"], 3, 7),
+    # 16 * 9^7 fibres on the old seven-entry charts: refused at the default budget
+    (["count", "--field", "3", "--k", "1", "--ext-degree", "2"], 1, 9),
+])
+def test_cli_counts_larger_fields_on_the_charts(argv, k, q, capsys):
+    assert run_cli(argv, capsys) == (0, f"{counting.predicted_count(k, q)}\n", "")
+
+
+@pytest.mark.parametrize("suite", ["motive", "blowup"])
+def test_cli_sections_is_a_usage_error_outside_the_k6_suite(suite, capsys):
+    code, out, err = run_cli(["verify", suite, "--field", "2", "--sections", "1"], capsys)
+    assert (code, out) == (2, "") and "--sections" in err and "k6" in err
+
+
+def test_cli_verify_k6_takes_the_number_of_sections(capsys):
+    code, out, _ = run_cli(["verify", "k6", "--field", "2", "--sections", "1"], capsys)
+    lines = out.strip().splitlines()
+    assert code == 0 and lines[0] == CountReport.CSV_HEADER and len(lines) == 2
 
 
 def test_cli_usage_errors(capsys):
