@@ -1,5 +1,5 @@
 """Command-line surface: deterministic queries, section construction,
-counting, and verification suites.
+counting, and the verification suites `motive` (k = 0..5) and `incidence`.
 
 Exit codes: 0 on success/pass, 1 on verification failure or a budget
 refusal, 2 on usage errors.  Output depends only on (inputs, seed, flags), never on the
@@ -20,8 +20,6 @@ from .counting import (
     BudgetExceededError,
     CountReport,
     count_report,
-    verify_blowup_identity,
-    verify_k6_relation,
 )
 from .fields import Field, PrimeField, field_spec
 from .gamma import PureSpinorError, gamma, rho
@@ -30,9 +28,6 @@ from .scene import Scene, SceneError, emit_scene, parse_scene, section_scene
 from .sections import classify, make_section
 from .spaces import f4_scan, span_pi4
 from .variety import annihilator, annihilator_kernel, mu, random_spinor, witness_from_spinor
-
-
-K6_SECTIONS = 5
 
 
 class CliError(Exception):
@@ -219,67 +214,52 @@ def cmd_f4(args):
 
 
 def cmd_count(args):
-    field = field_spec(args.field)
-    if not isinstance(field, PrimeField):
-        raise CliError("count needs a prime field")
     if args.scene:
+        for flag in ("--k", "--seed"):
+            if flag in args.given:
+                raise CliError(f"{flag} does not apply to a count of a --scene section")
         K = _scene_section(args)
-    elif args.k == 0:
-        K = Subspace(field, DIM_S, [])
+        if "--field" in args.given and field_spec(args.field) != K.field:
+            raise CliError(f"--field {args.field} is not the field of the --scene section")
     else:
-        K = make_section(f"generic-{args.k}", field, seed=args.seed).K
-    rep = count_report(
-        K, args.side, args.ext_degree, budget=args.budget, workers=args.workers
-    )
+        field = field_spec(args.field)
+        if not isinstance(field, PrimeField):
+            raise CliError("count needs a prime field")
+        if args.k == 0:
+            K = Subspace(field, DIM_S, [])
+        else:
+            K = make_section(f"generic-{args.k}", field, seed=args.seed).K
+    rep = count_report(K, args.side, args.ext_degree, budget=args.budget, workers=args.workers)
     print(rep.actual)
     return 0 if rep.passed else 1
 
 
-def _verify_motive(args, field):
-    rows = []
-    rng = random.Random(args.seed)
-    for k in range(6):
-        if k == 0:
-            K = Subspace(field, DIM_S, [])
-        else:
-            K = make_section(f"generic-{k}", field, seed=rng.randrange(1 << 30)).K
-        rows.append(count_report(K, "X", args.ext_degree, budget=args.budget, workers=args.workers))
-    return rows
-
-
-def _verify_blowup(args, field):
-    rows = []
-    rng = random.Random(args.seed)
+def _motive_sections(field, rng):
+    """X, then one smooth generic section for each k = 1..5."""
+    yield Subspace(field, DIM_S, [])
     for k in range(1, 6):
-        K = make_section(f"generic-{k}", field, seed=rng.randrange(1 << 30)).K
-        rows.append(
-            verify_blowup_identity(K, args.ext_degree, budget=args.budget, workers=args.workers)
-        )
-    return rows
+        yield make_section(f"generic-{k}", field, seed=rng.randrange(1 << 30)).K
 
 
-def _verify_k6(args, field):
-    rows = []
-    rng = random.Random(args.seed)
-    while len(rows) < (args.sections or K6_SECTIONS):
-        K = Subspace(field, DIM_S, [random_spinor(field, rng, MINUS) for _ in range(6)])
-        if K.dim == 6:
-            rows.append(
-                verify_k6_relation(
-                    K, max_degree=args.ext_degree, budget=args.budget, workers=args.workers
-                )
-            )
-    return rows
+def _incidence_sections(field, rng):
+    """For each k = 1..15, the span of k random spinors of S-, redrawn
+    until it has dim k."""
+    for k in range(1, DIM_S):
+        K = Subspace(field, DIM_S, [])
+        while K.dim < k:
+            K = Subspace(field, DIM_S, [random_spinor(field, rng, MINUS) for _ in range(k)])
+        yield K
 
 
 def cmd_verify(args):
     field = field_spec(args.field)
     if not isinstance(field, PrimeField):
         raise CliError("verify needs a prime field")
-    if args.sections is not None and args.suite != "k6":
-        raise CliError("--sections applies only to the k6 suite")
-    suites = {"motive": _verify_motive, "blowup": _verify_blowup, "k6": _verify_k6}
-    rows = suites[args.suite](args, field)
+    suites = {"motive": _motive_sections, "incidence": _incidence_sections}
+    rows = [
+        count_report(K, "X", args.ext_degree, budget=args.budget, workers=args.workers)
+        for K in suites[args.suite](field, random.Random(args.seed))
+    ]
     if args.format == "json":
         print(json.dumps([r.__dict__ for r in rows], indent=2, default=str))
     else:
@@ -304,6 +284,15 @@ def _int_at_least(low: int):
     return parse
 
 
+class _Given(argparse.Action):
+    """Store the value and add the flag to args.given, so a handler can
+    tell a flag given at its default value from one left out."""
+
+    def __call__(self, parser, args, value, option_string=None):
+        setattr(args, self.dest, value)
+        args.given = args.given | {option_string}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="spinor10",
@@ -313,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Each subcommand declares exactly the flags its handler reads.
     def field(p):
-        p.add_argument("--field", default="2", help="prime p, or Q")
+        p.add_argument("--field", default="2", action=_Given, help="prime p, or Q")
 
     def seed(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, action=_Given)
 
     def workers(p):
         p.add_argument("--workers", type=_int_at_least(1), default=1)
@@ -344,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         for add in flags:
             add(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, given=frozenset())
         return p
 
     command("member", cmd_member, "test whether a spinor lies on X / X^v",
@@ -371,13 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
             scene(required=True), fmt)
     p = command("count", cmd_count, "count points of X_K / X^v_K",
                 field, seed, count_limits, workers, scene())
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, default=0, action=_Given)
     p.add_argument("--side", choices=("X", "X^v"), default="X")
     p = command("verify", cmd_verify, "run a named verification suite",
                 field, seed, count_limits, workers, fmt)
-    p.add_argument("suite", choices=("motive", "blowup", "k6"))
-    p.add_argument("--sections", type=_int_at_least(1),
-                   help=f"sections for the k6 suite (default {K6_SECTIONS})")
+    p.add_argument("suite", choices=("motive", "incidence"))
 
     return ap
 

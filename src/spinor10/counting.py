@@ -1,5 +1,5 @@
-"""Finite-field point counts of X_K and X^v_K, the #X_K that the incidence
-identity (`_incidence_count`) predicts from #X^v_K, and the
+"""Finite-field point counts of X_K and X^v_K, the incidence identity
+(`incidence_rhs`) that predicts #X_K from #X^v_K at every k, and the
 blowup-fibration identity.
 
 A count is made one of two ways, with the same answer.  Large X_K are
@@ -8,8 +8,9 @@ signed permutations): each chart is cut into at most Q^4 fibres, one per
 value of the four held entries a_i5, on which K's equations are affine
 linear in the six other entries a_ij plus at most one quadric, Pf_1234.  A
 fibre contributes Q^(6 - rank) points, or none, or the zeros of the quadric
-on the solutions, counted in closed form (`scan.quadric_points`).  Smaller
-X_K, and every X^v_K, are counted by scanning the normalized projective
+on the solutions, counted in closed form (`scan.quadric_points`).  A large
+X^v_K is counted on the same charts as X_{K'} (`_dual_section`).  Smaller
+X_K and X^v_K are counted by scanning the normalized projective
 representatives of the ambient space in lexicographic order (see `scan`).
 Both are deterministic and independent of the worker count.
 """
@@ -22,27 +23,28 @@ from itertools import combinations
 
 import numpy as np
 
-from .clifford import CHARTS, DIM_S, MINUS, PFAFFIAN_TERMS, PLUS, MU_INT, SUBSET_INDEX, pairing_rows
+from .clifford import CHARTS, DIM_S, MINUS, PFAFFIAN_TERMS, PLUS, MU_INT, SUBSET_INDEX, clifford_mul, pairing_rows
 from .fields import PrimeField, get_ext_field
 from .linalg import Subspace, rref
 from .scan import (
     affine_solve, ext_zero_locus, field_tables, fp_map, in_blocks, num_projective_points,
     quadric_points, zero_locus,
 )
-from .sections import perp_in_plus
+from .sections import perp_in_minus, perp_in_plus
 from .variety import restrict_quadric
 
 DEFAULT_COUNT_BUDGET = 1 << 26
-# count_section_points counts X_K on the charts when n = #P(K^perp)(F_Q)
-# exceeds CHART_CROSSOVER[m > 1] * 16 Q^4 (16 charts of at most Q^4 fibres)
-# and scans P(K^perp) otherwise.  Measured on a 2-core Xeon with one BLAS
-# thread, in ratios n / (16 Q^4), generic K and K through a pure spinor:
+# count_section_points counts X_K (X^v_K) on the charts when n = #P(K^perp)
+# (#P(K)) over F_Q exceeds CHART_CROSSOVER[m > 1] * 16 Q^4 (16 charts of at
+# most Q^4 fibres) and scans otherwise.  Measured on a 2-core Xeon with one
+# BLAS thread, in ratios n / (16 Q^4), generic K and K through a pure spinor:
 # over F_p the scan wins by 1.1x to 3.5x at ratios 25 to 68 (Q = 7 at 25,
 # 5 at 49, 2 at 64, 3 at 68) and by 3x at 4 (Q = 2), the charts by 1.6x to
 # 2.1x from 128 up (Q = 2 at 128, 7 at 175, 3 at 205, 5 at 244).  Over
 # F_{p^m}, whose scan walks log/exp tables, the scan wins by 1.4x to 8x at
 # ratios up to 21 (Q = 4, 8, 9) and the charts by 1.8x to 3.5x from 51 up
 # (Q = 9 at 51, 4 at 85); Q = 8 at 37 goes either way (0.6x to 1.45x).
+# Side X^v crosses at the same ratios (the scan 1.5x to 3.4x faster up to 68).
 CHART_CROSSOVER = (100, 32)
 
 # Multiplicities n_0..n_{10-k} of the Lefschetz powers in the integral
@@ -62,7 +64,7 @@ def predicted_count(k: int, q: int) -> int:
     if not 0 <= k <= 5:
         raise ValueError("predicted_count needs 0 <= k <= 5")
     if k >= 2:
-        return _incidence_count(k, q, 0)
+        return incidence_rhs(k, q, 0) // q ** (k - 1)
     return sum(n * q**i for i, n in enumerate(MOTIVE_ROWS[k]))
 
 
@@ -71,20 +73,16 @@ def projective_count(q: int, dim: int) -> int:
     return num_projective_points(q, dim + 1)
 
 
-def _incidence_count(k: int, q: int, dual: int) -> int:
-    """The #X_K(F_q) forced by #X^v_K(F_q) = dual, for 1 <= k <= 8.
+def incidence_rhs(k: int, q: int, dual: int) -> int:
+    """A #P^(k-1) - #X #P^(k-2) + q^7 dual, which equals q^(k-1) #X_K(F_q)
+    for every K of dim k >= 1 with #X^v_K(F_q) = dual.
 
     X cap kappa^perp has A = predicted_count(1, q) points, or q^7 more when
     kappa is pure, so the pairs (s, kappa), s in X, kappa in P(K),
-    <kappa, s> = 0, counted from both ends give q^(k-1) #X_K =
-    A #P^(k-1) - #X #P^(k-2) + q^7 #X^v_K; for k <= 8 q^(k-1) divides
-    both terms (the first as a polynomial in q).
+    <kappa, s> = 0, counted from both ends give this incidence identity.
     """
-    if not 1 <= k <= 8:
-        raise ValueError("the incidence count needs 1 <= k <= 8")
     a, nx = predicted_count(1, q), predicted_count(0, q)
-    smooth = a * projective_count(q, k - 1) - nx * projective_count(q, k - 2)
-    return smooth // q ** (k - 1) + q ** (8 - k) * dual
+    return a * projective_count(q, k - 1) - nx * projective_count(q, k - 2) + q**7 * dual
 
 
 def _section_space(K: Subspace, side: str):
@@ -95,6 +93,15 @@ def _section_space(K: Subspace, side: str):
     if side == "X^v":
         return K, MU_INT[MINUS]
     raise ValueError("side must be 'X' or 'X^v'")
+
+
+def _dual_section(K: Subspace) -> Subspace:
+    """K' with X^v_K isomorphic to X_{K'}: Clifford multiplication by
+    v = e_1 + f_1, q_V(v) = 1, maps S- onto S+ and X^v onto X (Chevalley),
+    so X^v cap P(K) is X cap P(v K), and P(v K) = P(K'^perp) for
+    K' = perp_in_minus(v K)."""
+    v = (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)
+    return perp_in_minus(Subspace(K.field, DIM_S, [clifford_mul(K.field, v, w, MINUS) for w in K.basis]))
 
 
 # The big cell s(A) with the four entries a_i5 (_HELD) held: Pf_1234 is a
@@ -221,10 +228,10 @@ def count_section_points(
 ) -> int:
     """Exact number of F_{q^m}-points of X_K (side "X") or X^v_K ("X^v").
 
-    Side "X" is counted on the 16 charts of X (`count_on_charts`) when
-    #P(K^perp)(F_{q^m}) exceeds CHART_CROSSOVER[m > 1] * 16 q^(4m);
-    otherwise, and for side "X^v", the points of P(K^perp) resp. P(K) are
-    scanned (`workers` threads, same count for any number).  The budget
+    Both are counted on the 16 charts of X (`count_on_charts`, side "X^v"
+    as X_{K'}) when the ambient space P(K^perp) resp. P(K) has more than
+    CHART_CROSSOVER[m > 1] * 16 q^(4m) F_{q^m}-points; otherwise its points
+    are scanned (`workers` threads, same count for any number).  The budget
     bounds what the chosen method enumerates, 16 q^(4m) fibres or the
     scanned points: more is refused with BudgetExceededError.
     """
@@ -240,12 +247,12 @@ def count_section_points(
         return 0
     n = num_projective_points(q**m, d)
     fibres = 16 * q ** (4 * m)
-    on_charts = side == "X" and n > CHART_CROSSOVER[m > 1] * fibres
+    on_charts = n > CHART_CROSSOVER[m > 1] * fibres
     if (fibres if on_charts else n) > budget:
         what = f"chart count of {fibres} fibres" if on_charts else f"scan of {n} points"
         raise BudgetExceededError(f"{what} (q={q}, m={m}, d={d}) exceeds budget {budget}")
     if on_charts:
-        return count_on_charts(K, m)
+        return count_on_charts(K if side == "X" else _dual_section(K), m)
     forms = [restrict_quadric(field, c, amb.basis) for c in quadrics]
     if m == 1:
         count, _ = zero_locus(forms, q, d, workers=workers)
@@ -284,16 +291,19 @@ class CountReport:
 
 def count_report(K: Subspace, side: str = "X", m: int = 1, **kw) -> CountReport:
     """CountReport for #X_K(F_{q^m}) against the motive of X (k = 0) or the
-    incidence identity (k <= 8, X^v_K counted alike); else no prediction."""
+    incidence identity in multiplied form (k >= 1, X^v_K counted alike),
+    predicting its right-hand side over Q^(k-1), Q = q^m; X^v_K has no
+    prediction."""
     actual = count_section_points(K, side, m, **kw)
-    q, k = K.field.p, K.dim
-    if side == "X" and k == 0:
-        predicted = predicted_count(0, q**m)
-    elif side == "X" and k <= 8:
-        predicted = _incidence_count(k, q**m, count_section_points(K, "X^v", m, **kw))
-    else:
+    q, k, Q = K.field.p, K.dim, K.field.p**m
+    if side != "X":
         return CountReport(q, m, k, side, actual, actual, True, notes="no prediction")
-    return CountReport(q, m, k, side, actual, predicted, actual == predicted)
+    if k == 0:
+        predicted = predicted_count(0, Q)
+        return CountReport(q, m, k, side, actual, predicted, actual == predicted)
+    rhs = incidence_rhs(k, Q, count_section_points(K, "X^v", m, **kw))
+    lhs = Q ** (k - 1) * actual
+    return CountReport(q, m, k, side, actual, rhs // Q ** (k - 1), lhs == rhs, identity_lhs=lhs, identity_rhs=rhs)
 
 
 def verify_blowup_identity(K: Subspace, m: int = 1, **kw) -> CountReport:
@@ -354,6 +364,6 @@ def verify_k6_relation(K: Subspace, *, max_degree: int = 4, **kw) -> CountReport
     counts, degrees = dual_point_profile(K, max_degree, **kw)
     length_seen = sum(d * a for d, a in degrees.items())
     nx = count_section_points(K, "X", 1, **kw)
-    predicted = _incidence_count(6, q, counts[1])
+    predicted = incidence_rhs(6, q, counts[1]) // q**5
     notes = f"dual degrees {sorted(degrees.items())}, length >= {length_seen}"
     return CountReport(q, 1, 6, "X", nx, predicted, nx == predicted, notes=notes)

@@ -1,7 +1,7 @@
-"""Counts of X_K on the 16 affine charts of X: the charts themselves, the
-closed-form quadric counts of the fibres, agreement with the scans, the size
-rule, and the incidence identity as a check that shares no code with the
-charts."""
+"""Counts of X_K and X^v_K on the 16 affine charts of X: the charts
+themselves, the closed-form quadric counts of the fibres, agreement with the
+scans, the size rule, and the incidence identity, checked with one side of
+it counted by a scan that shares no code with the charts."""
 
 import random
 from itertools import product
@@ -165,43 +165,61 @@ def test_quadric_points_of_the_split_form_q_v(p, m):
     assert whole[0] == (q - 1) * quadric_count(q) + 1
 
 
-def scan_count(K, m):
-    """#X_K(F_{p^m}) by the scan of P(K^perp), without the size rule."""
+def scan_count(K, m, side="X"):
+    """#X_K(F_{p^m}) by the scan of P(K^perp) with mu_+, or #X^v_K(F_{p^m})
+    by the scan of P(K) with mu_-, without the size rule."""
     field = K.field
-    amb = perp_in_plus(K)
-    forms = [restrict_quadric(field, c, amb.basis) for c in MU_INT[PLUS]]
+    amb, half = (perp_in_plus(K), PLUS) if side == "X" else (K, MINUS)
+    forms = [restrict_quadric(field, c, amb.basis) for c in MU_INT[half]]
     if m == 1:
         return zero_locus(forms, field.p, amb.dim)[0]
     return ext_zero_locus(forms, get_ext_field(field.p, m), amb.dim)[0]
 
 
-# Every k over F_2 and F_3; over F_5 and F_9 the k whose P(K^perp) the scan
-# covers in about a second (F_5 at k <= 4 is checked by the incidence identity).
+def side_params(cases):
+    """pytest params for cases (..., side), with the ids of side X cases
+    left without the side, as they were before side X^v was added."""
+    return [
+        pytest.param(*case, id="-".join(map(str, case[:-1] if case[-1] == "X" else case)))
+        for case in cases
+    ]
+
+
+# Every k over F_2 and F_3 on both sides; over F_5, F_4 and F_9 the k whose
+# ambient space, P(K^perp) for X or P(K) for X^v, the scan covers in about a
+# second (the other k are checked by the incidence identity).
 CELL_CASES = (
-    [(q, 1, k) for q in (2, 3) for k in range(16)]
-    + [(5, 1, k) for k in range(5, 16)]
-    + [(2, 2, k) for k in (4, 5, 6)]
-    + [(3, 2, k) for k in range(8, 16)]
+    [(q, 1, k, "X") for q in (2, 3) for k in range(16)]
+    + [(5, 1, k, "X") for k in range(5, 16)]
+    + [(2, 2, k, "X") for k in (4, 5, 6)]
+    + [(3, 2, k, "X") for k in range(8, 16)]
+    + [(q, 1, k, "X^v") for q in (2, 3) for k in range(1, 16)]
+    + [(5, 1, k, "X^v") for k in range(1, 12)]
+    + [(2, 2, k, "X^v") for k in range(1, 13)]
+    + [(3, 2, k, "X^v") for k in range(1, 8)]
 )
 
 
-@pytest.mark.parametrize("q, m, k", CELL_CASES)
-def test_chart_counts_equal_the_scan(q, m, k):
+@pytest.mark.parametrize("q, m, k, side", side_params(CELL_CASES))
+def test_chart_counts_equal_the_scan(monkeypatch, q, m, k, side):
+    monkeypatch.setattr(counting, "CHART_CROSSOVER", (0, 0))
     field = PrimeField(q)
     rng = random.Random(f"{q}:{m}:{k}")
     for pure in (False, True) if k else (False,):
         K = random_section(field, rng, k, pure)
-        assert count_on_charts(K, m) == scan_count(K, m)
+        assert count_section_points(K, side, m) == scan_count(K, m, side)
 
 
-@pytest.mark.parametrize(
-    "q, k, charts",
-    [(2, 1, True), (2, 2, False), (3, 4, True), (3, 5, False), (4, 6, True), (4, 7, False)],
-)
-def test_size_rule_picks_the_path_and_both_count_right(monkeypatch, q, k, charts):
+@pytest.mark.parametrize("q, k, charts, side", side_params([
+    (2, 1, True, "X"), (2, 2, False, "X"), (3, 4, True, "X"), (3, 5, False, "X"),
+    (4, 6, True, "X"), (4, 7, False, "X"),
+    (2, 15, True, "X^v"), (2, 14, False, "X^v"), (3, 12, True, "X^v"), (3, 11, False, "X^v"),
+    (4, 10, True, "X^v"), (4, 9, False, "X^v"),
+]))
+def test_size_rule_picks_the_path_and_both_count_right(monkeypatch, q, k, charts, side):
     p, m = (2, 2) if q == 4 else (q, 1)
     field = PrimeField(p)
-    n = num_projective_points(q, DIM_S - k)
+    n = num_projective_points(q, DIM_S - k if side == "X" else k)
     assert (n > CHART_CROSSOVER[m > 1] * 16 * q**4) == charts
     calls = []
 
@@ -211,35 +229,36 @@ def test_size_rule_picks_the_path_and_both_count_right(monkeypatch, q, k, charts
 
     monkeypatch.setattr(counting, "count_on_charts", spy)
     K = random_section(field, random.Random(k), k, False)
-    assert count_section_points(K, "X", m) == scan_count(K, m)
+    assert count_section_points(K, side, m) == scan_count(K, m, side)
     assert len(calls) == int(charts)
 
 
-def incidence_sides(K, m):
+def incidence_sides(K, m, x, dual):
     """Both sides of q^(k-1) #X_K = A #P^(k-1) - #X #P^(k-2) + q^7 #X^v_K
-    over F_Q, Q = p^m, with #X_K from the charts and #X^v_K from the scan
-    of P(K); and the two counts."""
+    over F_Q, Q = p^m, for #X_K = x and #X^v_K = dual."""
     q, k = K.field.p ** m, K.dim
     a, nx = predicted_count(1, q), predicted_count(0, q)
-    x, dual = count_on_charts(K, m), count_section_points(K, "X^v", m, budget=1 << 30)
     rhs = a * projective_count(q, k - 1) - nx * projective_count(q, k - 2) + q**7 * dual
-    return q ** (k - 1) * x, rhs, x, dual
+    return q ** (k - 1) * x, rhs
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_incidence_identity_with_the_dual_scan(q):
     """Pairs (s, kappa), s in X, kappa in P(K), <kappa, s> = 0, counted from
     both ends: a hyperplane section of X has A = predicted_count(1, q)
-    points, or q^7 more when its kappa is pure.  For k <= 8 the identity
-    solved for #X_K is the library's `_incidence_count`.  F_4 and F_5 stop
-    at k = 8: P^14(F_4) would take minutes to scan."""
+    points, or q^7 more when its kappa is pure.  One side is always a
+    scan: #X^v_K by the scan of P(K), with #X_K on the charts; over F_4 and
+    F_5 at k >= 9, where P(K) grows too large to scan, #X_K by the scan of
+    P(K^perp), with #X^v_K from the library (on the charts from k = 10)."""
     p, m = (2, 2) if q == 4 else (q, 1)
     field = PrimeField(p)
     rng = random.Random(q)
-    for k in range(1, 16 if q <= 3 else 9):
+    for k in range(1, 16):
         for pure in (False, True):
             K = random_section(field, rng, k, pure)
-            lhs, rhs, x, dual = incidence_sides(K, m)
-            assert lhs == rhs, (k, pure)
-            if k <= 8:
-                assert counting._incidence_count(k, q, dual) == x
+            if q <= 3 or k <= 8:
+                x, dual = count_on_charts(K, m), scan_count(K, m, "X^v")
+            else:
+                x, dual = scan_count(K, m), count_section_points(K, "X^v", m)
+            lhs, rhs = incidence_sides(K, m, x, dual)
+            assert lhs == rhs == counting.incidence_rhs(k, q, dual), (k, pure)

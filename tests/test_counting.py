@@ -8,10 +8,10 @@ from spinor10.counting import (
     BudgetExceededError,
     CountReport,
     MOTIVE_ROWS,
-    _incidence_count,
     count_report,
     count_section_points,
     dual_point_profile,
+    incidence_rhs,
     predicted_count,
     projective_count,
     quadric_count,
@@ -26,6 +26,7 @@ from spinor10.variety import random_spinor
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 
 def test_predicted_count_pinned_values():
@@ -69,14 +70,13 @@ def test_predicted_count_matches_the_reference_rows(k):
 
 def test_incidence_count_constants_beyond_k_5():
     for q in range(2, 40):
-        assert _incidence_count(6, q, 0) == 1 + q + q**3 + q**4
-        assert _incidence_count(7, q, 0) == 1 + q**3
-        assert _incidence_count(8, q, 0) == 0
-        for k in range(1, 9):
-            assert _incidence_count(k, q, 3) - _incidence_count(k, q, 0) == 3 * q ** (8 - k)
-    for k in (0, 9):
-        with pytest.raises(ValueError):
-            _incidence_count(k, 2, 0)
+        assert incidence_rhs(6, q, 0) == q**5 * (1 + q + q**3 + q**4)
+        assert incidence_rhs(7, q, 0) == q**6 * (1 + q**3)
+        assert incidence_rhs(8, q, 0) == 0
+        # K = S-: X_K is empty and X^v_K is all of X^v, a copy of X
+        assert incidence_rhs(16, q, predicted_count(0, q)) == 0
+        for k in range(1, 17):
+            assert incidence_rhs(k, q, 3) - incidence_rhs(k, q, 0) == 3 * q**7
 
 
 def test_motive_rows_hyperplane_pattern():
@@ -129,6 +129,13 @@ def test_budget_bounds_the_chart_fibres_not_the_scan():
     K5 = make_section("generic-5", F2, seed=0).K
     with pytest.raises(BudgetExceededError, match="1082401 points"):
         count_section_points(K5, "X^v", 5, budget=1082400)
+    # X^v_K takes the charts by the same rule: P^14(F_5) has 7.6e9 points,
+    # the charts 16 * 5^4 fibres
+    K15 = random_section(F5, random.Random(15), 15)
+    dual = count_section_points(K15, "X^v", budget=10000)
+    assert incidence_rhs(15, 5, dual) == 5**14 * count_section_points(K15, "X")
+    with pytest.raises(BudgetExceededError, match="10000 fibres .* exceeds budget 9999"):
+        count_section_points(K15, "X^v", budget=9999)
 
 
 def test_blowup_identity_over_an_extension():
@@ -220,8 +227,11 @@ def test_count_report_predicts_over_extensions_and_up_to_k_8():
     for k in (6, 7, 8):
         r = count_report(random_section(F3, rng, k), "X")
         assert r.passed and r.notes == "", r
+    # beyond k = 8 side X is still checked by the identity; X^v_K is not predicted
     K = random_section(F2, rng, 9)
-    assert count_report(K, "X").notes == count_report(K, "X^v").notes == "no prediction"
+    r = count_report(K, "X")
+    assert r.passed and r.identity_lhs == r.identity_rhs == 2**8 * r.actual, r
+    assert count_report(K, "X^v").notes == "no prediction"
 
 
 def test_count_report_fails_when_the_dual_count_is_off_by_one(monkeypatch):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from spinor10.scene import (
     parse_scene,
     section_scene,
 )
+from spinor10.variety import random_spinor
 
 F5 = PrimeField(5)
 
@@ -198,13 +200,16 @@ def test_cli_verify_motive(capsys):
     assert len(lines) == 7 and all(l.endswith("True") for l in lines[1:])
 
 
-def test_cli_verify_blowup(capsys):
-    code, out, _ = run_cli(["verify", "blowup", "--field", "2"], capsys)
-    assert code == 0
-    assert len(out.strip().splitlines()) == 6
+@pytest.mark.parametrize("field", ["2", "3", "5"])
+def test_cli_verify_incidence_holds_at_every_k(field, capsys):
+    code, out, _ = run_cli(["verify", "incidence", "--field", field], capsys)
+    lines = out.strip().splitlines()
+    assert code == 0 and lines[0] == CountReport.CSV_HEADER
+    assert [line.split(", ")[2] for line in lines[1:]] == [str(k) for k in range(1, 16)]
+    assert all(line.endswith(", True") for line in lines[1:])
 
 
-@pytest.mark.parametrize("suite, ks", [("motive", range(6)), ("blowup", range(1, 6))])
+@pytest.mark.parametrize("suite, ks", [("motive", range(6)), ("incidence", range(1, 16))])
 def test_cli_verify_suites_count_over_the_ext_degree(suite, ks, capsys):
     code, out, _ = run_cli(["verify", suite, "--field", "2", "--ext-degree", "2"], capsys)
     lines = out.strip().splitlines()
@@ -230,18 +235,6 @@ def test_cli_count_budget_bounds_the_chart_fibres(capsys):
 ])
 def test_cli_counts_larger_fields_on_the_charts(argv, k, q, capsys):
     assert run_cli(argv, capsys) == (0, f"{counting.predicted_count(k, q)}\n", "")
-
-
-@pytest.mark.parametrize("suite", ["motive", "blowup"])
-def test_cli_sections_is_a_usage_error_outside_the_k6_suite(suite, capsys):
-    code, out, err = run_cli(["verify", suite, "--field", "2", "--sections", "1"], capsys)
-    assert (code, out) == (2, "") and "--sections" in err and "k6" in err
-
-
-def test_cli_verify_k6_takes_the_number_of_sections(capsys):
-    code, out, _ = run_cli(["verify", "k6", "--field", "2", "--sections", "1"], capsys)
-    lines = out.strip().splitlines()
-    assert code == 0 and lines[0] == CountReport.CSV_HEADER and len(lines) == 2
 
 
 def test_cli_usage_errors(capsys):
@@ -272,7 +265,7 @@ FLAGS = {
     "make-section": {"field", "seed", "kind", "out"},
     "f4": {"scene", "object", "format"},
     "count": {"field", "seed", "k", "side", "ext-degree", "budget", "workers", "scene", "object"},
-    "verify": {"suite", "field", "seed", "ext-degree", "budget", "workers", "sections", "format"},
+    "verify": {"suite", "field", "seed", "ext-degree", "budget", "workers", "format"},
 }
 
 
@@ -289,7 +282,7 @@ def test_cli_subcommands_declare_only_the_flags_they_read():
         for name, p in subparsers.choices.items()
     }
     assert declared == FLAGS
-    assert sum(map(len, declared.values())) == 57
+    assert sum(map(len, declared.values())) == 56
 
 
 def exit_code(argv, capsys):
@@ -306,6 +299,8 @@ def test_cli_rejects_removed_commands_and_flags(capsys):
     assert exit_code(["member", "--coords", coords, "--budget", "5"], capsys)[0] == 2
     argv = ["make-section", "--kind", "special", "--ext-degree", "3"]
     assert exit_code(argv, capsys)[0] == 2
+    for argv in (["verify", "blowup"], ["verify", "k6"], ["verify", "motive", "--sections", "1"]):
+        assert exit_code(argv, capsys)[0] == 2, argv
 
 
 def test_cli_scene_errors_exit_2_without_traceback(tmp_path, capsys):
@@ -332,24 +327,31 @@ def test_cli_budget_refusal_in_a_suite_exits_1_without_traceback(capsys):
     assert err.startswith("error: ") and "exceeds budget 10" in err
 
 
-def test_cli_verify_k6_failing_row_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+def test_cli_verify_incidence_failing_row_exits_1_and_writes_nothing(
+    tmp_path, capsys, monkeypatch
+):
     monkeypatch.chdir(tmp_path)
-    failing = CountReport(2, 1, 6, "X", 50, 52, False)
-    monkeypatch.setattr(cli, "verify_k6_relation", lambda K, **kw: failing)
-    code, out, err = run_cli(["verify", "k6", "--field", "2", "--sections", "1"], capsys)
-    assert (code, err) == (1, "") and out.endswith("False\n")
+    real = cli.count_report
+
+    def failing_at_k6(K, *args, **kw):
+        report = real(K, *args, **kw)
+        return CountReport(2, 1, 6, "X", 50, 52, False) if K.dim == 6 else report
+
+    monkeypatch.setattr(cli, "count_report", failing_at_k6)
+    code, out, err = run_cli(["verify", "incidence", "--field", "2"], capsys)
+    assert (code, err) == (1, "") and "2, 1, 6, X, 50, 52, False\n" in out
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_verify_k6_budget_refusal_exits_1(capsys):
-    argv = ["verify", "k6", "--field", "2", "--budget", "10", "--sections", "1"]
+def test_cli_verify_incidence_budget_refusal_exits_1(capsys):
+    argv = ["verify", "incidence", "--field", "2", "--budget", "10"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "exceeds budget 10" in err
 
 
-def test_cli_verify_k6_counts_with_the_given_workers(capsys, monkeypatch):
-    argv = ["verify", "k6", "--field", "2", "--sections", "1"]
+def test_cli_verify_incidence_counts_with_the_given_workers(capsys, monkeypatch):
+    argv = ["verify", "incidence", "--field", "2"]
     single = run_cli(argv + ["--workers", "1"], capsys)
     seen = []
     count = counting.count_section_points
@@ -371,6 +373,31 @@ def test_cli_count_predicts_a_singular_pencil(tmp_path, capsys):
     p = tmp_path / "pencil.json"
     p.write_text(emit_scene(Scene(field, 0, (SceneObject("K", "section", (pure, other)),))))
     assert run_cli(["count", "--field", "2", "--scene", str(p)], capsys) == (0, "631\n", "")
+
+
+def test_cli_count_scene_refuses_the_flags_it_would_ignore(tmp_path, capsys):
+    p = tmp_path / "pencil.json"
+    argv = ["make-section", "--kind", "generic-2", "--field", "3", "--seed", "1", "--out", str(p)]
+    assert run_cli(argv, capsys) == (0, "", "")
+    for argv in ([], ["--field", "3"]):
+        assert run_cli(["count", *argv, "--scene", str(p)], capsys) == (0, "10192\n", "")
+    for flag, value in (("--field", "5"), ("--field", "2"), ("--field", "Q"), ("--k", "5"),
+                        ("--seed", "9"), ("--seed", "0")):
+        code, out, err = run_cli(["count", flag, value, "--scene", str(p)], capsys)
+        assert (code, out) == (2, "") and err.count("error:") == 1 and flag in err, flag
+
+
+def test_cli_count_dual_of_a_large_section_on_the_charts(tmp_path, capsys):
+    # P^14(F_5) has 7.6e9 points, over the default budget; the charts count
+    # X^v_K as X_{K'} with 16 * 5^4 fibres
+    rng = random.Random(15)
+    K = Subspace(F5, DIM_S, [])
+    while K.dim < 15:
+        K = Subspace(F5, DIM_S, [random_spinor(F5, rng, MINUS) for _ in range(15)])
+    p = tmp_path / "k15.json"
+    p.write_text(emit_scene(section_scene(F5, K, seed=15)))
+    want = counting.count_section_points(K, "X^v")
+    assert run_cli(["count", "--side", "X^v", "--scene", str(p)], capsys) == (0, f"{want}\n", "")
 
 
 def test_cli_count_predicts_over_an_extension(capsys, monkeypatch):
@@ -407,7 +434,6 @@ def test_cli_range_checked_flags_are_usage_errors(capsys):
         ["count", "--field", "2", "--workers", "-3"],
         ["count", "--field", "2", "--budget", "-1"],
         ["verify", "motive", "--workers", "0"],
-        ["verify", "k6", "--sections", "0"],
     ):
         code, err = exit_code(argv, capsys)
         assert code == 2, argv
