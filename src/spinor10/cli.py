@@ -15,15 +15,11 @@ import sys
 from fractions import Fraction
 
 from .clifford import DIM_S, MINUS, PLUS
-from .counting import (
-    DEFAULT_COUNT_BUDGET,
-    BudgetExceededError,
-    CountReport,
-    count_report,
-)
+from .counting import CountReport, count_report
 from .fields import Field, PrimeField, field_spec
 from .gamma import PureSpinorError, gamma, rho
 from .linalg import Subspace
+from .scan import DEFAULT_COUNT_BUDGET, BudgetExceededError
 from .scene import Scene, SceneError, emit_scene, parse_scene, section_scene
 from .sections import classify, make_section
 from .spaces import f4_scan, span_pi4
@@ -69,9 +65,23 @@ def _load_scene(path: str) -> Scene:
         raise CliError(f"cannot read scene {path}: {e}") from None
 
 
+def _refuse_ignored_scene_flags(args):
+    """--object and --objects only name scene objects, and --coords and
+    --coords2 replace the scene: refuse each where it would be ignored."""
+    flags = vars(args)
+    for name in ("object", "objects"):
+        if flags.get(name) and not flags.get("scene"):
+            raise CliError(f"--{name} needs --scene")
+    for name in ("coords", "coords2"):
+        if flags.get(name) and flags.get("scene"):
+            raise CliError(f"--{name} and --scene exclude each other")
+
+
 def _scene_object(args, types):
     """The scene's field and the object named by --object, else the scene's
     first object of one of the given types."""
+    if not args.scene:
+        raise CliError("need --scene")
     scene = _load_scene(args.scene)
     if args.object:
         return scene.field, scene.get(args.object)
@@ -373,6 +383,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _refuse_ignored_scene_flags(args)
         return args.fn(args)
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -27,13 +27,12 @@ from .clifford import CHARTS, DIM_S, MINUS, PFAFFIAN_TERMS, PLUS, MU_INT, SUBSET
 from .fields import PrimeField, get_ext_field
 from .linalg import Subspace, rref
 from .scan import (
-    affine_solve, ext_zero_locus, field_tables, fp_map, in_blocks, num_projective_points,
-    quadric_points, zero_locus,
+    DEFAULT_COUNT_BUDGET, BudgetExceededError, affine_solve, ext_zero_locus, field_tables, fp_map,
+    in_blocks, num_projective_points, quadric_points, zero_locus,
 )
 from .sections import perp_in_minus, perp_in_plus
 from .variety import restrict_quadric
 
-DEFAULT_COUNT_BUDGET = 1 << 26
 # count_section_points counts X_K (X^v_K) on the charts when n = #P(K^perp)
 # (#P(K)) over F_Q exceeds CHART_CROSSOVER[m > 1] * 16 Q^4 (16 charts of at
 # most Q^4 fibres) and scans otherwise.  Measured on a 2-core Xeon with one
@@ -53,10 +52,6 @@ MOTIVE_ROWS = {
     0: (1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 1),
     1: (1, 1, 1, 2, 2, 2, 2, 1, 1, 1),
 }
-
-
-class BudgetExceededError(RuntimeError):
-    pass
 
 
 def predicted_count(k: int, q: int) -> int:

@@ -2,9 +2,8 @@
 polarization, and the spinor quadratic line complex R with the restricted
 forms R_K (on Pluecker coordinates of Lambda^2 K) and R_{kappa,K}.
 
-Everything here except `gamma` itself divides by 2 and therefore requires
-characteristic != 2; the characteristic-2 classifier fallback lives in
-:mod:`spinor10.sections`.
+`gamma` and `mu_table` work in every characteristic; everything else
+divides by 2 and therefore requires characteristic != 2.
 """
 
 from __future__ import annotations
@@ -36,17 +35,28 @@ def _require_odd_char(field: Field):
         raise ValueError("operation requires characteristic != 2")
 
 
-def polarize_mu(field: Field, k1, k2):
-    """The symmetric bilinear map with polarize_mu(k, k) = mu(k) on S-."""
-    _require_odd_char(field)
-    s = tuple(field.add(a, b) for a, b in zip(k1, k2))
-    m12 = mu(field, s, MINUS)
-    m1 = mu(field, k1, MINUS)
-    m2 = mu(field, k2, MINUS)
+def mu_table(field: Field, basis):
+    """(a, B) with a[i] = mu(k_i) and B[i, j] = mu(k_i + k_j) - a[i] - a[j]
+    (i < j), so mu(sum t_i k_i) = sum t_i^2 a[i] + sum_{i<j} t_i t_j B[i, j]
+    in every characteristic."""
+    a = [mu(field, k, MINUS) for k in basis]
+    B = {}
+    for i, j in combinations(range(len(basis)), 2):
+        m = mu(field, tuple(map(field.add, basis[i], basis[j])), MINUS)
+        B[i, j] = tuple(field.sub(x, field.add(y, z)) for x, y, z in zip(m, a[i], a[j]))
+    return a, B
+
+
+def _halve(field: Field, v):
     inv2 = field.inv(field.from_int(2))
-    return tuple(
-        field.mul(inv2, field.sub(field.sub(a, b), c)) for a, b, c in zip(m12, m1, m2)
-    )
+    return tuple(field.mul(inv2, x) for x in v)
+
+
+def polarize_mu(field: Field, k1, k2):
+    """The symmetric bilinear map with polarize_mu(k, k) = mu(k) on S-: half
+    of mu_table's B for the pair."""
+    _require_odd_char(field)
+    return _halve(field, mu_table(field, (k1, k2))[1][0, 1])
 
 
 @dataclass(frozen=True)
@@ -112,11 +122,11 @@ def rho_form(field: Field, K: Subspace) -> PlueckerQuadric:
     _require_odd_char(field)
     if K.dim < 2:
         raise ValueError("need dim K >= 2")
-    basis = K.basis
     k = K.dim
-    qt = {}
-    for i, j in combinations_with_replacement(range(k), 2):
-        qt[i, j] = qt[j, i] = polarize_mu(field, basis[i], basis[j])
+    squares, B = mu_table(field, K.basis)
+    qt = {(i, i): v for i, v in enumerate(squares)}
+    for (i, j), v in B.items():
+        qt[i, j] = qt[j, i] = _halve(field, v)
     pairs = tuple(combinations(range(k), 2))
     n = len(pairs)
     gram = [[field.zero] * n for _ in range(n)]
@@ -126,7 +136,7 @@ def rho_form(field: Field, K: Subspace) -> PlueckerQuadric:
             gram[x][y] = gram[y][x] = field.neg(bV(field, qt[a, c], qt[b, d]))
         elif b > c:
             gram[x][y] = gram[y][x] = bV(field, qt[a, d], qt[b, c])
-    return PlueckerQuadric(k, pairs, SymBilinearForm(field, gram), basis)
+    return PlueckerQuadric(k, pairs, SymBilinearForm(field, gram), K.basis)
 
 
 def coords_in(space: Subspace, vec):

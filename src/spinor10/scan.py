@@ -27,6 +27,11 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 BLOCK = 1 << 14
+DEFAULT_COUNT_BUDGET = 1 << 26
+
+
+class BudgetExceededError(RuntimeError):
+    pass
 
 
 def num_projective_points(q: int, d: int) -> int:

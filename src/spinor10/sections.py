@@ -13,9 +13,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .clifford import DIM_S, DIM_V, MINUS, PLUS, bV, pairing_orthogonal, qV
+from .clifford import DIM_S, DIM_V, MINUS, PLUS, bV, pairing_orthogonal
 from .fields import Field, PrimeField, RationalField
-from .gamma import coords_in, gamma, rho, rho_form
+from .gamma import coords_in, gamma, mu_table, rho_form
 from .linalg import Subspace, SymBilinearForm, check_invariant, mat_vec, transpose
 from .scan import find_first_zero, num_projective_points
 from .spaces import span_pi4
@@ -75,7 +75,7 @@ class SmoothnessCertificate:
 
     @property
     def smooth_so_far(self) -> bool:
-        # the verdict is exact; the name is kept for existing readers
+        # the verdict is exact; the name is kept for perfbench/workloads.py
         return self.status == "certified-smooth"
 
 
@@ -181,7 +181,7 @@ def smoothness_scan(K: Subspace) -> SmoothnessCertificate:
         Kp = _reduce_mod_p(K, p)
         if Kp.dim == K.dim:
             cert = _prime_smoothness_scan(Kp, p)
-            if cert.smooth_so_far:
+            if cert.status == "certified-smooth":
                 return cert
             singular = singular or cert
     if singular is None:
@@ -204,54 +204,35 @@ class ClassificationReport:
     notes: str = ""
 
 
-def _mu_span(field: Field, basis):
-    """Dimension and total isotropy of the span of mu over the points of
-    P(K), K spanned by `basis`, over any field of more than two elements
-    containing the base field (over F_2 itself the span can be smaller).
-
-    mu is quadratic: mu(sum t_i k_i) = sum t_i^2 mu(k_i) + sum_{i<j} t_i t_j
-    (mu(k_i + k_j) - mu(k_i) - mu(k_j)), and over such a field the
-    monomials t_i^2, t_i t_j are independent functions, so the span is
-    spanned by the rational vectors mu(k_i) and mu(k_i + k_j).
-    """
-    vecs = [mu(field, b, MINUS) for b in basis]
-    for i, a in enumerate(basis):
-        for b in basis[i + 1 :]:
-            vecs.append(mu(field, tuple(field.add(x, y) for x, y in zip(a, b)), MINUS))
-    span = Subspace(field, DIM_V, vecs)
-    iso = all(
-        qV(field, a) == field.zero
-        and all(bV(field, a, b) == field.zero for b in span.basis)
-        for a in span.basis
-    )
-    return span.dim, iso
-
-
 def _is_special_pencil(field: Field, basis) -> bool:
-    """The k = 2 special test: rho vanishes on the pencil (odd
-    characteristic); in characteristic 2, the mu-span has dim <= 3 and is
-    totally isotropic."""
-    if field.char != 2:
-        return rho(field, basis[0], basis[1]).vanishes(field)
-    dim, iso = _mu_span(field, basis)
-    return dim <= 3 and iso
+    """The k = 2 special test, in every characteristic: b_V(a, c) = 0 for
+    mu(t k_0 + u k_1) = t^2 a + t u B + u^2 c.  As q_V(mu) = 0 over Z,
+    b_V(a, B) = b_V(B, c) = 0 and q_V(B) = -b_V(a, c) = 2 rho(k_0, k_1), so
+    this says the span of mu over the pencil is totally isotropic."""
+    return bV(field, mu(field, basis[0], MINUS), mu(field, basis[1], MINUS)) == field.zero
 
 
 def _is_very_special(field: Field, basis) -> bool:
-    dim, iso = _mu_span(field, basis)
-    return dim == 5 and iso
+    """The k = 3 test: the span of mu over P(K), spanned by `mu_table`, has
+    dim 5 and b_V vanishes on it, so q_V does (q_V(B_ij) = -b_V(a_i, a_j))."""
+    squares, B = mu_table(field, basis)
+    span = Subspace(field, DIM_V, squares + list(B.values()))
+    return span.dim == 5 and all(
+        bV(field, x, y) == field.zero for x, y in combinations_with_replacement(span.basis, 2)
+    )
 
 
 def classify(K: Subspace) -> ClassificationReport:
-    """Taxonomy: k=1 singular/smooth hyperplane; k=2 special/nonspecial via
-    the line complex; k=3 very-special via the span of mu; k>=4 generic
-    with the rho_form rank reported.  No smoothness for k >= 6, where P(K)
-    meets X^v by dimension."""
+    """Taxonomy: k=1 singular/smooth hyperplane; k=2 special/nonspecial by
+    the line complex b_V(mu(k_0), mu(k_1)), rho_data its 1x1 form, in every
+    characteristic; k=3 very-special via the span of mu; k>=3 generic, with
+    the rho_form rank in odd characteristic.  No smoothness for k >= 6,
+    where P(K) meets X^v by dimension."""
     field = K.field
     k = K.dim
     cert = smoothness_scan(K) if k <= 5 else None
     notes = ""
-    if field.char == 2 and k in (2, 3):
+    if field.char == 2 and k == 3:
         notes = "char-2 fallback: gamma-span test (equivalence unproven)"
     rho_data = None
     if k == 1:
@@ -263,13 +244,12 @@ def classify(K: Subspace) -> ClassificationReport:
     elif k == 2:
         special = _is_special_pencil(field, K.basis)
         label = "special" if special else "nonspecial"
-        if field.char != 2:
-            rho_data = (0, 1) if special else (1, 0)
+        rho_data = (0, 1) if special else (1, 0)
     else:
         label = "generic"
         if k == 3 and _is_very_special(field, K.basis):
             label = "very-special"
-        if field.char != 2 and k >= 3:
+        if field.char != 2:
             form = rho_form(field, K)
             rho_data = (form.form.rank(), form.form.corank())
     return ClassificationReport(k, cert, label, rho_data, notes)
@@ -364,7 +344,8 @@ def _make_special(field, rng):
         wperp = perp_in_minus(w)
         for _ in range(20):
             K = _random_subspace_of(wperp, rng, 2)
-            if smoothness_scan(K).smooth_so_far and _is_special_pencil(field, K.basis):
+            smooth = smoothness_scan(K).status == "certified-smooth"
+            if smooth and _is_special_pencil(field, K.basis):
                 return SectionK.make(K)
     raise RuntimeError("retry budget exhausted for special section")
 
@@ -375,7 +356,7 @@ def _make_very_special(field, rng):
         perp = perp_in_minus(span_pi4(tau))
         for _ in range(20):
             K = _random_subspace_of(perp, rng, 3)
-            if smoothness_scan(K).smooth_so_far:
+            if smoothness_scan(K).status == "certified-smooth":
                 return SectionK.make(K)
     raise RuntimeError("retry budget exhausted for very-special section")
 
@@ -387,7 +368,7 @@ def _make_generic(field, rng, k):
         )
         if K.dim != k:
             continue
-        if k <= 5 and not smoothness_scan(K).smooth_so_far:
+        if k <= 5 and smoothness_scan(K).status != "certified-smooth":
             continue
         if k == 2 and _is_special_pencil(field, K.basis):
             continue

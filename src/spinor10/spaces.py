@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 from .clifford import DIM_S, DIM_V, MINUS, PLUS, clifford_mul, pairing, pairing_orthogonal, qV, v_basis
 from .fields import Field, PrimeField
-from .linalg import Subspace, check_invariant
-from .scan import zero_locus
+from .linalg import Subspace, check_invariant, mat_vec, transpose
+from .scan import DEFAULT_COUNT_BUDGET, BudgetExceededError, num_projective_points, zero_locus
 from .variety import (
     MU_INT,
     PureSpinorWitness,
@@ -112,25 +112,23 @@ def f4_scan(K: Subspace):
     """All F_q-points tau of X^v with the 4-space Pi^4 of tau inside X_K.
 
     The scan of P(S-)(F_q) is restricted exactly (not heuristically) to the
-    linear constraint subspace above before filtering mu = 0.
+    linear constraint subspace above before filtering mu = 0; a scan of more
+    than DEFAULT_COUNT_BUDGET points is refused with BudgetExceededError.
     """
     field = K.field
-    if not isinstance(field, PrimeField) or field.p > 3:
-        raise ValueError("f4_scan supports q in {2, 3}")
-    q = field.p
+    if not isinstance(field, PrimeField):
+        raise ValueError("f4_scan needs a prime field")
     cspace = _f4_constraint_space(K)
-    if cspace.dim == 0:
+    q, d = field.p, cspace.dim
+    n = num_projective_points(q, d)
+    if n > DEFAULT_COUNT_BUDGET:
+        raise BudgetExceededError(f"f4 scan of {n} points (q={q}, d={d}) exceeds budget {DEFAULT_COUNT_BUDGET}")
+    if d == 0:
         return []
     forms = [restrict_quadric(field, c, cspace.basis) for c in MU_INT[MINUS]]
-    _, pts = zero_locus(forms, q, cspace.dim, collect=True)
-    out = []
-    basis_t = list(zip(*cspace.basis))
-    for t in pts:
-        tau = tuple(
-            sum(a * b for a, b in zip(t, col)) % q for col in basis_t
-        )
-        out.append(witness_from_spinor(field, tau, MINUS))
-    return out
+    _, pts = zero_locus(forms, q, d, collect=True)
+    cols = transpose(cspace.basis)
+    return [witness_from_spinor(field, mat_vec(field, cols, t), MINUS) for t in pts]
 
 
 def pi4_meet_quadric(tau: PureSpinorWitness, v) -> int:

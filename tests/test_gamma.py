@@ -19,6 +19,7 @@ from spinor10.gamma import (
     PureSpinorError,
     coords_in,
     gamma,
+    mu_table,
     polarize_mu,
     r_kappa_form,
     rho,
@@ -105,6 +106,40 @@ def test_polarize_mu_basic():
 def test_polarize_mu_char2_rejected():
     with pytest.raises(ValueError):
         polarize_mu(F2, spin(F2, MINUS, (1,)), spin(F2, MINUS, (2,)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_line_complex_is_minus_twice_rho(p):
+    # mu(t k1 + u k2) = t^2 a + t u B + u^2 c with q_V(mu) = 0 over Z gives
+    # b_V(a, c) = -q_V(B) = -2 rho(k1, k2)
+    field = PrimeField(p)
+    rng = random.Random(p)
+    minus_two = field.from_int(-2)
+    for _ in range(100):
+        k1, k2 = random_spinor(field, rng, MINUS), random_spinor(field, rng, MINUS)
+        lhs = bV(field, mu(field, k1, MINUS), mu(field, k2, MINUS))
+        assert lhs == field.mul(minus_two, rho(field, k1, k2).value)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F7], ids=str)
+def test_mu_table_expands_mu_in_every_characteristic(field):
+    rng = random.Random(8)
+    basis = [random_spinor(field, rng, MINUS) for _ in range(4)]
+    squares, B = mu_table(field, basis)
+    assert squares == [mu(field, k, MINUS) for k in basis]
+    for _ in range(20):
+        t = [field.sample(rng) for _ in basis]
+        kappa = mat_vec(field, transpose(basis), t)
+        want = [field.zero] * 10
+        for i, j in combinations(range(4), 2):
+            want = [field.add(w, field.mul(field.mul(t[i], t[j]), x)) for w, x in zip(want, B[i, j])]
+        for ti, a in zip(t, squares):
+            want = [field.add(w, field.mul(field.mul(ti, ti), x)) for w, x in zip(want, a)]
+        assert mu(field, kappa, MINUS) == tuple(want)
+        if field.char != 2:
+            two = field.from_int(2)
+            assert all(B[i, j] == tuple(field.mul(two, x) for x in polarize_mu(field, basis[i], basis[j]))
+                       for i, j in B)
 
 
 def test_rho_diagonal_vanishes():

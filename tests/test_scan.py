@@ -11,9 +11,10 @@ from spinor10 import scan
 from spinor10.clifford import DIM_S, DIM_V, MINUS, MU_INT, bV, qV
 from spinor10.counting import count_section_points
 from spinor10.fields import PrimeField, get_ext_field
+from spinor10.gamma import mu_table
 from spinor10.linalg import Subspace
 from spinor10.scan import ext_zero_locus, find_first_zero, zero_locus
-from spinor10.sections import _mu_span, make_section, smoothness_scan
+from spinor10.sections import make_section, smoothness_scan
 from spinor10.variety import (
     is_pure,
     mu,
@@ -259,7 +260,11 @@ def test_mu_span_matches_brute_force_over_the_extension(p):
         bases.append(Subspace(field, DIM_S, [random_spinor(field, rng, MINUS) for _ in range(k)]).basis)
     seen = set()
     for basis in bases:
-        got = _mu_span(field, basis)
+        # the mu_table vectors span it, and b_V vanishing there is isotropy
+        squares, B = mu_table(field, basis)
+        span = Subspace(field, DIM_V, squares + list(B.values()))
+        iso = all(bV(field, a, b) == 0 for a in span.basis for b in span.basis)
+        got = (span.dim, iso)
         assert got == brute_mu_span(field, basis, 2)
         seen.add(got)
     assert len(seen) > 1

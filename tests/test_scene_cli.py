@@ -183,6 +183,42 @@ def test_cli_make_section_f4_roundtrip(tmp_path, capsys):
     assert json.loads(out)["count"] == 4  # P^1(F_3)
 
 
+@pytest.mark.parametrize("q, count", [("5", 6), ("7", 8)])
+def test_cli_f4_counts_the_4_spaces_of_a_special_pencil_at_any_q(q, count, tmp_path, capsys):
+    p = tmp_path / "sp.json"
+    assert run_cli(["make-section", "--kind", "special", "--field", q, "--out", str(p)], capsys)[0] == 0
+    code, out, _ = run_cli(["f4", "--scene", str(p), "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["count"] == count
+
+
+def test_cli_f4_over_budget_exits_1(tmp_path, capsys):
+    # P(C_K) of a hyperplane over F_23 is P^6(F_23), 1.5e8 points
+    p = tmp_path / "h.json"
+    assert run_cli(["make-section", "--kind", "generic-1", "--field", "23", "--out", str(p)], capsys)[0] == 0
+    code, out, err = run_cli(["f4", "--scene", str(p)], capsys)
+    assert (code, out) == (1, "") and err.count("error:") == 1 and "exceeds budget" in err
+
+
+PURE = ",".join(["1"] + ["0"] * 15)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["member", "--coords", PURE, "--scene", "/nonexistent.json"], "--coords"),
+    (["gamma", "--coords", PURE, "--scene", "/nonexistent.json"], "--coords"),
+    (["annihilator", "--coords", PURE, "--scene", "/nonexistent.json"], "--coords"),
+    (["span", "--kind", "pi4", "--coords", PURE, "--scene", "/nonexistent.json"], "--coords"),
+    (["rho", "--coords", PURE, "--coords2", PURE, "--scene", "/nonexistent.json"], "--coords"),
+    (["member", "--object", "K"], "--object"),
+    (["count", "--field", "2", "--object", "K"], "--object"),
+    (["rho", "--objects", "a,b"], "--objects"),
+    (["span", "--kind", "annihilator-kernel"], "--scene"),
+])
+def test_cli_refuses_scene_flags_it_would_ignore(argv, flag, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "") and err.count("error:") == 1 and flag in err
+    assert "Traceback" not in err
+
+
 def test_cli_rho_inline(capsys):
     a = ",".join(["1"] + ["0"] * 15)
     b = ",".join(["0"] * 5 + ["1"] + ["0"] * 10)

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from spinor10.clifford import DIM_S, HalfSpinor, MINUS, PLUS, clifford_mul, pairing, v_basis
+from spinor10.counting import count_section_points
 from spinor10.fields import PrimeField, QQ, get_ext_field
 from spinor10.gamma import r_kappa_form, rho
 from spinor10.linalg import Subspace, identity_matrix, kernel_basis, mat, mat_vec, rref, transpose
@@ -355,12 +356,27 @@ def test_corank_equality_remark():
 
 
 def test_char2_classifier_fallback():
+    # k = 2 is decided by b_V(mu(k_0), mu(k_1)) in every characteristic and
+    # carries no note; only the k = 3 span test keeps the char-2 note
     s = make_section("special", F2, seed=1)
     rep = classify(s.K)
-    assert rep.label == "special"
-    assert "char-2" in rep.notes
-    g = make_section("generic-2", F2, seed=1)
-    assert classify(g.K).label == "nonspecial"
+    assert (rep.label, rep.rho_data, rep.notes) == ("special", (0, 1), "")
+    g = classify(make_section("generic-2", F2, seed=1).K)
+    assert (g.label, g.rho_data, g.notes) == ("nonspecial", (1, 0), "")
+    n = classify(make_section("very-special", F2, seed=1).K)
+    assert (n.label, n.notes) == ("very-special", "char-2 fallback: gamma-span test (equivalence unproven)")
+
+
+@pytest.mark.parametrize("kind", ["special", "generic-2"])
+def test_char2_special_pencils_are_the_pencils_with_4_spaces(kind):
+    # over F_2 a special pencil has q + 1 = 3 four-spaces, a nonspecial none;
+    # over F_4 the 4-spaces are the q + 1 = 5 points of X^v on P(C_K)
+    for seed in range(4):
+        K = make_section(kind, F2, seed=seed).K
+        special = classify(K).label == "special"
+        assert special == (kind == "special")
+        assert len(f4_scan(K)) == (3 if special else 0), seed
+        assert count_section_points(_f4_constraint_space(K), "X^v", 2) == (5 if special else 0), seed
 
 
 def test_generic_pencils_over_f2_are_nonspecial():

@@ -11,10 +11,14 @@ from spinor10.clifford import (
     basis_e,
     basis_f,
 )
+from spinor10.counting import count_section_points
 from spinor10.fields import PrimeField, QQ
 from spinor10.linalg import InvariantError, Subspace
+from spinor10.scan import BudgetExceededError, num_projective_points
+from spinor10.sections import make_section
 from spinor10.spaces import (
     LinearSpaceOnX,
+    _f4_constraint_space,
     contains,
     f4_scan,
     four_space_on_x,
@@ -177,6 +181,39 @@ def test_f4_scan_smooth_hyperplane():
     assert len(wits) == 63
     for w in wits[:5]:
         assert contains(K, span_pi4(w))
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_f4_taxonomy_at_larger_q(q):
+    # #F_4(X_K)(F_q) = #(X^v cap P(C_K)): every point for a general
+    # hyperplane, a line for a special pencil, one point for a very-special net
+    field = PrimeField(q)
+    want = {"generic-1": num_projective_points(q, 6), "special": q + 1, "generic-2": 0,
+            "very-special": 1, "generic-3": 0}
+    for kind, n in want.items():
+        K = make_section(kind, field, seed=q).K
+        assert count_section_points(_f4_constraint_space(K), "X^v") == n, kind
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_f4_scan_lists_the_line_of_a_special_pencil(q):
+    field = PrimeField(q)
+    K = make_section("special", field, seed=1).K
+    wits = f4_scan(K)
+    assert len(wits) == q + 1
+    assert Subspace(field, DIM_S, [w.spinor for w in wits]).dim == 2
+    assert all(is_pure(field, w.spinor, MINUS) and contains(K, span_pi4(w)) for w in wits)
+
+
+def test_f4_scan_refuses_by_budget_not_by_q():
+    # P(C_K) = P^15(F_5) for K = 0; a hyperplane over F_23 has P^6(F_23)
+    with pytest.raises(BudgetExceededError, match="f4 scan of 38146972656 points"):
+        f4_scan(Subspace(F5, DIM_S))
+    with pytest.raises(BudgetExceededError, match="154764793 points"):
+        f4_scan(make_section("generic-1", PrimeField(23), seed=0).K)
+    assert len(f4_scan(make_section("very-special", PrimeField(23), seed=0).K)) == 1
+    with pytest.raises(ValueError, match="prime field"):
+        f4_scan(Subspace(QQ, DIM_S, [spin(QQ, MINUS, (1,))]))
 
 
 def test_pi4_meet_quadric_coordinate_cases():
