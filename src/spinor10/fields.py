@@ -4,6 +4,10 @@ Field objects bundle the arithmetic callables used by the generic linear
 algebra in :mod:`spinor10.linalg`.  Elements are plain hashable values:
 ints in [0, p) for F_p, ints encoding base-p digit vectors for F_{p^m},
 and :class:`fractions.Fraction` for the rationals.
+
+F_{p^m} is F_p[x]/(f) for a primitive f, so x generates its multiplicative
+group: products are lookups in the exp/log tables of the powers of x, and
+for odd p so are sums, through Zech logarithms.
 """
 
 from __future__ import annotations
@@ -180,49 +184,6 @@ def _poly_powmod(a, e, modulus, p):
     return res
 
 
-def _is_irreducible(modulus, p):
-    m = len(modulus) - 1
-    x = [0, 1] + [0] * (m - 2) if m >= 2 else [0]
-    # x^(p^m) == x mod f, and x^(p^(m/l)) - x invertible for prime l | m
-    xq = _poly_powmod(x, p ** m, modulus, p)
-    if xq != x:
-        return False
-    for ell in range(2, m + 1):
-        if m % ell == 0 and is_prime(ell):
-            xe = _poly_powmod(x, p ** (m // ell), modulus, p)
-            diff = [(a - b) % p for a, b in zip(xe, x)]
-            if not any(diff):
-                return False
-            # gcd(diff, modulus) must be 1; since modulus has no factor of
-            # degree dividing m/ell iff x^(p^(m/ell)) - x is coprime to it
-            if _poly_gcd_is_nontrivial(diff, modulus, p):
-                return False
-    return True
-
-
-def _poly_gcd_is_nontrivial(a, b, p):
-    a = list(a)
-    b = list(b)
-
-    def deg(c):
-        for i in range(len(c) - 1, -1, -1):
-            if c[i]:
-                return i
-        return -1
-
-    da, db = deg(a), deg(b)
-    while db >= 0:
-        if da < db:
-            a, b, da, db = b, a, db, da
-            continue
-        lead = a[da] * pow(b[db], p - 2, p) % p
-        for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - lead * b[i]) % p
-        da = deg(a)
-        a, b, da, db = b, a, db, da
-    return deg(a) > 0
-
-
 def _factor(n: int):
     fs = set()
     d = 2
@@ -236,11 +197,33 @@ def _factor(n: int):
     return fs
 
 
-class ExtField(Field):
-    """F_{p^m} as F_p[x]/(f), elements encoded as base-p integers.
+def _find_primitive(p, m):
+    """The first monic f of degree m in code order (its low coefficients are
+    the base-p digits of the code) in which x has multiplicative order q - 1.
+    Such an f is irreducible: F_p[x]/(f) has q - 1 units only when it is a
+    field.  f(0) = 0 would make x a zero divisor, so those codes are skipped."""
+    q = p**m
+    x = [0, 1] + [0] * (m - 2)  # for m = 1 the first product reduces it
+    one = [1] + [0] * (m - 1)
+    factors = _factor(q - 1)
+    for code in range(q):
+        modulus = [code // p**t % p for t in range(m)] + [1]
+        if code % p and _poly_powmod(x, q - 1, modulus, p) == one and all(
+            _poly_powmod(x, (q - 1) // ell, modulus, p) != one for ell in factors
+        ):
+            return modulus
+    raise RuntimeError("no primitive polynomial found")  # pragma: no cover
 
-    Multiplication goes through exp/log tables over a fixed generator, so
-    construction is limited to p^m <= 2^16.
+
+class ExtField(Field):
+    """F_{p^m} as F_p[x]/(f) for a primitive f, elements encoded as base-p
+    integers (the digits are the coefficients, low degree first).
+
+    x generates the multiplicative group, so multiplication goes through
+    exp/log tables of its powers.  For odd p so does addition, through the
+    Zech logarithms zech[i] = log(1 + x^i) (-1 where 1 + x^i = 0):
+    x^i + x^j = x^(i + zech[j - i]), exponents mod q - 1; characteristic 2
+    adds by XOR.  Construction is limited to p^m <= 2^16.
     """
 
     def __init__(self, p: int, m: int):
@@ -257,86 +240,50 @@ class ExtField(Field):
         self.char = p
         self.zero = 0
         self.one = 1
-        self.modulus = self._find_irreducible(p, m)
+        self.modulus = _find_primitive(p, m)
         self._build_tables()
 
-    @staticmethod
-    def _find_irreducible(p, m):
-        if m == 1:
-            return [0, 1]
-        # deterministic scan over monic polynomials x^m + ... (low-first coeffs)
-        for code in range(p ** m):
-            coeffs = []
-            c = code
-            for _ in range(m):
-                coeffs.append(c % p)
-                c //= p
-            modulus = coeffs + [1]
-            if _is_irreducible(modulus, p):
-                return modulus
-        raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
-
-    def _decode(self, a):
-        digits = []
-        for _ in range(self.m):
-            digits.append(a % self.p)
-            a //= self.p
-        return digits
-
-    def _encode(self, digits):
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + d
-        return v
-
     def _build_tables(self):
-        p, q, modulus = self.p, self.q, self.modulus
-        # a multiplicative generator (for m > 1 no constant is one)
-        factors = _factor(q - 1)
-        gen = next(
-            cd
-            for cd in map(self._decode, range(1, q))
-            if all(
-                self._encode(_poly_powmod(cd, (q - 1) // ell, modulus, p)) != 1
-                for ell in factors
-            )
-        )
-        # the digit vectors of gen^0, gen^1, ... in blocks: doubled to at
-        # most 1024 rows, then each block is the last times gen^len(block),
-        # all through the F_p-matrix of multiplication by gen (row t: gen x^t)
-        step = np.array([_poly_mulmod([0] * t + [1], gen, modulus, p) for t in range(self.m)])
-        block = np.eye(1, self.m, dtype=np.int64)
+        p, q, m = self.p, self.q, self.m
+        # the digit vectors of x^0, x^1, ... in blocks: doubled to at most
+        # 1024 rows, then each block is the last times x^len(block), all
+        # through the companion matrix of f (row t: x^(t+1))
+        step = np.eye(m, k=1, dtype=np.int64)
+        step[-1] = np.negative(self.modulus[:m]) % p
+        block = np.eye(1, m, dtype=np.int64)
         while len(block) < min(q - 1, 1024):
             block = np.concatenate((block, block @ step % p))
             step = step @ step % p
-        weights = p ** np.arange(self.m)
+        weights = p ** np.arange(m)
         exp = np.empty(q - 1, dtype=np.int64)
         for lo in range(0, q - 1, len(block)):
             exp[lo : lo + len(block)] = (block @ weights)[: q - 1 - lo]
             block = block @ step % p
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
+        # 1 + a on codes adds 1 to the lowest digit
+        one_plus = exp - exp % p + (exp + 1) % p
+        zech = np.where(one_plus, log[one_plus], -1)
         # numpy copies for the scan's tables, lists for scalar arithmetic
-        self.exp_array, self.log_array = exp, log
+        self.exp_array, self.log_array, self.zech_array = exp, log, zech
         self.exp_table = exp.tolist()
         self.log_table = log.tolist()
+        self.zech_table = zech.tolist()
 
     def add(self, a, b):
         if self.p == 2:
             return a ^ b
-        da, db = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
+        if a == 0 or b == 0:
+            return a or b
+        la = self.log_table[a]
+        z = self.zech_table[self.log_table[b] - la]  # a negative index wraps
+        return 0 if z < 0 else self.exp_table[(la + z) % (self.q - 1)]
 
     def sub(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        da, db = self._decode(a), self._decode(b)
-        return self._encode([(x - y) % self.p for x, y in zip(da, db)])
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        if self.p == 2:
-            return a
-        return self._encode([(-x) % self.p for x in self._decode(a)])
+        return self.mul(a, self.p - 1)
 
     def mul(self, a, b):
         if a == 0 or b == 0:

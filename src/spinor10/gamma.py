@@ -73,15 +73,13 @@ def rho(field: Field, k1, k2) -> LineComplexValue:
     Vanishing is basis-independent; for K2 with X_{K2} smooth it detects the
     special sections (those containing linear 4-spaces).
 
-    The value is b_V(q~(k1,k2), q~(k1,k2)).  Polarizing the identity
-    q_V(mu(kappa)) == 0 gives b_V(q~11, q~22) = -2 b_V(q~12, q~12), so the
-    alternative representative b(q~12,q~12) - b(q~11,q~22) is 3 times this
-    one and degenerates in characteristic 3; the primitive representative
-    is used so that the complex stays meaningful over F_3.
+    The value is b_V(q~(k1,k2), q~(k1,k2)).  Polarizing q_V(mu(kappa)) == 0
+    over Z gives b_V(mu(k1), mu(k2)) = -2 b_V(q~(k1,k2), q~(k1,k2)), so it is
+    computed from mu(k1) and mu(k2) alone.
     """
     _require_odd_char(field)
-    q12 = polarize_mu(field, k1, k2)
-    return LineComplexValue(bV(field, q12, q12))
+    value = bV(field, mu(field, k1, MINUS), mu(field, k2, MINUS))
+    return LineComplexValue(field.mul(field.inv(field.from_int(-2)), value))
 
 
 @dataclass(frozen=True)

@@ -301,9 +301,7 @@ class PrimeTables(_Solver):
         return int(c[-1, -1]), b, rest
 
 
-@lru_cache(maxsize=None)
-def _prime_tables(p):
-    return PrimeTables(p)
+_prime_tables = lru_cache(maxsize=None)(PrimeTables)
 
 
 def _prime_scan(forms, q, d, mode, workers=1):
@@ -334,25 +332,29 @@ class ExtTables(_Solver):
     """
 
     def __init__(self, ext):
-        q = ext.q
-        self.ext = ext
-        self.q, self.p, self.m = q, ext.p, ext.m
-        self.zero = 3 * (q - 1)
+        self.ext, self.q, self.p, self.m = ext, ext.q, ext.p, ext.m
+        self.zero = 3 * (ext.q - 1)
         self.log = ext.log_array.copy()
         self.log[0] = self.zero
-        self.exp = np.zeros(2 * self.zero + q, dtype=np.int64)
+        self.exp = np.zeros(2 * self.zero + ext.q, dtype=np.int64)
         self.exp[: self.zero] = np.tile(ext.exp_array, 3)
 
+    @cached_property
+    def zech(self):
+        """a + b = exp[log a + zech[log b - log a + zero]]: Zech logarithms, 0 at
+        b = 0, log b - zero at a = 0, and an index into exp's zero tail at a = -b."""
+        n, zero = self.q - 1, self.zero
+        z = np.zeros(2 * zero + 1, dtype=np.int64)
+        z[:n] = np.arange(n) - zero
+        z[zero - n + 1 : zero + n] = np.tile(self.ext.zech_array, 2)[1:]
+        z[z == -1] = zero
+        return z
+
     def add(self, a, b):
-        p = self.ext.p
-        if p == 2:
+        if self.p == 2:
             return a ^ b
-        # digitwise base-p addition (memory-light for large q)
-        out = np.zeros_like(a)
-        for t in range(self.ext.m):
-            pw = p**t
-            out += (((a // pw) + (b // pw)) % p) * pw
-        return out
+        la = self.log[a]
+        return self.exp[la + self.zech[self.log[b] - la + self.zero]]
 
     def mul(self, a, b):
         return self.exp[self.log[a] + self.log[b]]
@@ -389,9 +391,7 @@ class ExtTables(_Solver):
         return a, [g for g in b if g[1]], [g for g in c if g[1]]
 
 
-@lru_cache(maxsize=None)
-def _tables_for(ext):
-    return ExtTables(ext)
+_tables_for = lru_cache(maxsize=None)(ExtTables)
 
 
 def ext_zero_locus(forms, ext, d: int, *, find_first: bool = False, workers: int = 1):

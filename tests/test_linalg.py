@@ -1,10 +1,12 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinor10.fields import (
-    ExtField, PrimeField, QQ, _factor, _poly_mulmod, _poly_powmod, field_spec, is_prime,
+    ExtField, PrimeField, QQ, _poly_mulmod, field_spec, is_prime,
 )
 from spinor10.linalg import (
     Subspace,
@@ -17,6 +19,7 @@ from spinor10.linalg import (
     restrict_form,
     rref,
 )
+from spinor10.scan import ExtTables
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -200,29 +203,23 @@ def test_ext_field_arithmetic():
 
 
 def stepped_tables(p, m):
-    """Reference exp/log tables: the first multiplicative generator in code
-    order, stepped through all q - 1 of its powers with _poly_mulmod."""
+    """Reference exp/log tables: the first monic f in code order whose powers
+    of x, stepped with _poly_mulmod, are exactly the q - 1 nonzero codes
+    before they return to 1."""
     q = p**m
-    modulus = ExtField._find_irreducible(p, m)
-
-    def decode(a):
-        return [a // p**t % p for t in range(m)]
+    x = [0, 1] + [0] * (m - 2)
 
     def encode(digits):
         return sum(d * p**t for t, d in enumerate(digits))
 
-    gen = next(
-        cd
-        for cd in map(decode, range(1, q))
-        if all(encode(_poly_powmod(cd, (q - 1) // ell, modulus, p)) != 1 for ell in _factor(q - 1))
-    )
-    exp, log = [0] * (q - 1), [0] * q
-    cur = [1] + [0] * (m - 1)
-    for i in range(q - 1):
-        exp[i] = encode(cur)
-        log[exp[i]] = i
-        cur = _poly_mulmod(cur, gen, modulus, p)
-    return exp, log
+    for code in range(q):
+        modulus = [code // p**t % p for t in range(m)] + [1]
+        cur, log = [1] + [0] * (m - 1), {}
+        while (a := encode(cur)) not in log:
+            log[a] = len(log)
+            cur = _poly_mulmod(x, cur, modulus, p)
+        if len(log) == q - 1 and a == 1:
+            return list(log), [log.get(c, 0) for c in range(q)]
 
 
 EXT_ORDERS = [
@@ -235,6 +232,45 @@ def test_ext_field_tables_equal_the_stepped_powers_of_the_generator(p, m):
     f = ExtField(p, m)
     assert (f.exp_table, f.log_table) == stepped_tables(p, m)
     assert all(type(a) is int for a in f.exp_table + f.log_table)
+
+
+def _digitwise(p, m, a, b, sign=1):
+    """a + sign b on base-p codes, one digit at a time."""
+    return sum((a // p**t + sign * (b // p**t)) % p * p**t for t in range(m))
+
+
+@pytest.mark.parametrize(
+    "p, m, pairs",
+    [(3, 2, None), (5, 2, None), (3, 3, None), (5, 3, None), (3, 10, 4000), (5, 6, 4000), (7, 5, 4000)],
+)
+def test_zech_addition_equals_digitwise_addition(p, m, pairs):
+    """All pairs (pairs None), or random pairs with zeros and a = -b mixed in."""
+    f = ExtField(p, m)
+    if pairs is None:
+        a, b = map(list, zip(*itertools.product(range(f.q), repeat=2)))
+    else:
+        rng = random.Random(p**m)
+        a = [f.sample(rng) for _ in range(pairs)] + [0, 0, 5]
+        b = [f.sample(rng) for _ in range(pairs)] + [0, 7, 0]
+        b[:50] = [_digitwise(p, m, 0, x, -1) for x in a[:50]]
+    ref = [_digitwise(p, m, x, y) for x, y in zip(a, b)]
+    assert ExtTables(f).add(np.array(a), np.array(b)).tolist() == ref
+    assert [f.add(x, y) for x, y in zip(a, b)] == ref
+    assert [f.sub(x, y) for x, y in zip(a, b)] == [_digitwise(p, m, x, y, -1) for x, y in zip(a, b)]
+    assert [f.neg(y) for y in b] == [_digitwise(p, m, 0, y, -1) for y in b]
+
+
+@pytest.mark.parametrize("p", [2, 3, 251, 65521])
+def test_ext_field_of_degree_one_is_the_prime_field(p):
+    f, g = ExtField(p, 1), PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(500):
+        a, b = f.sample(rng), f.sample(rng)
+        for op in ("add", "sub", "mul"):
+            assert getattr(f, op)(a, b) == getattr(g, op)(a, b)
+        assert f.neg(a) == g.neg(a)
+        if a:
+            assert f.inv(a) == g.inv(a)
 
 
 def _pow(f, a, e):

@@ -170,10 +170,11 @@ def test_solver_tables_are_built_on_first_use(monkeypatch):
     monkeypatch.setattr(scan, "_tables_for", lambda _: tables)
     # P^0 needs no solving: only the log/exp tables exist afterwards
     assert ext_zero_locus([], ext, 1) == (1, [])
-    assert not {"inv", "sqrt", "artin"} & vars(tables).keys()
+    assert not {"inv", "sqrt", "artin", "zech"} & vars(tables).keys()
     # x0^2 + x0 x1 + x1^2 has no zero over F_32, an odd-degree extension of F_2
     assert ext_zero_locus([[[1, 1], [0, 1]]], ext, 2) == (0, [])
     assert {"inv", "artin"} <= vars(tables).keys()
+    assert "zech" not in vars(tables)  # characteristic 2 adds by XOR
 
 
 @pytest.mark.parametrize("p, d", [(2, 16), (3, 10)])
