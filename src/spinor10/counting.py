@@ -36,7 +36,9 @@ from .variety import restrict_quadric
 # count_section_points counts X_K (X^v_K) on the charts when n = #P(K^perp)
 # (#P(K)) over F_Q exceeds CHART_CROSSOVER[m > 1] * 16 Q^4 (16 charts of at
 # most Q^4 fibres) and scans otherwise.  Measured on a 2-core Xeon with one
-# BLAS thread, in ratios n / (16 Q^4), generic K and K through a pure spinor:
+# BLAS thread, before large scans took the linear tail (see scan), so the
+# scan-side times below are those of the root path; in ratios n / (16 Q^4),
+# generic K and K through a pure spinor:
 # over F_p the scan wins by 1.1x to 3.5x at ratios 25 to 68 (Q = 7 at 25,
 # 5 at 49, 2 at 64, 3 at 68) and by 3x at 4 (Q = 2), the charts by 1.6x to
 # 2.1x from 128 up (Q = 2 at 128, 7 at 175, 3 at 205, 5 at 244).  Over

@@ -201,14 +201,19 @@ def _find_primitive(p, m):
     """The first monic f of degree m in code order (its low coefficients are
     the base-p digits of the code) in which x has multiplicative order q - 1.
     Such an f is irreducible: F_p[x]/(f) has q - 1 units only when it is a
-    field.  f(0) = 0 would make x a zero divisor, so those codes are skipped."""
+    field.  The norm of a primitive x, (-1)^m f(0), is a primitive root of
+    F_p, so codes where it is not (f(0) = 0 among them) are skipped before
+    any power of x is taken."""
     q = p**m
     x = [0, 1] + [0] * (m - 2)  # for m = 1 the first product reduces it
     one = [1] + [0] * (m - 1)
-    factors = _factor(q - 1)
+    factors, norm_factors = _factor(q - 1), _factor(p - 1)
     for code in range(q):
+        norm = (-1) ** m * code % p
+        if not norm or any(pow(norm, (p - 1) // ell, p) == 1 for ell in norm_factors):
+            continue
         modulus = [code // p**t % p for t in range(m)] + [1]
-        if code % p and _poly_powmod(x, q - 1, modulus, p) == one and all(
+        if _poly_powmod(x, q - 1, modulus, p) == one and all(
             _poly_powmod(x, (q - 1) // ell, modulus, p) != one for ell in factors
         ):
             return modulus

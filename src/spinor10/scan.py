@@ -5,16 +5,25 @@ representatives (first nonzero coordinate = 1), realized as contiguous
 blocks by leading-coordinate position; parallel runs merge block results
 in block order, so output is independent of the worker count.
 
-A scan does not enumerate the last coordinate t.  P^{d-1} is the point
-e_{d-1} followed by every prefix (x_0, ..., x_{d-2}) of P^{d-2} extended by
-t = 0..q-1, in that order.  On a prefix the first form is a t^2 + b t + c
-with a constant, so its roots are solved for a whole block of prefixes at
-once, and only the (prefix, root) candidates, in (prefix, t) order, go
-through the other forms.
+A scan enumerates prefixes and solves for the coordinates after them.  On
+the root path P^{d-1} is the point e_{d-1} followed by every prefix
+(x_0, ..., x_{d-2}) of P^{d-2} extended by t = 0..q-1, in that order.  On
+a prefix the first form is a t^2 + b t + c with a constant, so its roots
+are solved for a whole block of prefixes at once, and only the (prefix,
+root) candidates, in (prefix, t) order, go through the other forms.
 
-The same field tables solve batches of small affine systems
-(`affine_solve`) and count the zeros of batches of quadratic forms in
-closed form (`quadric_points`): the fibres of the chart counts in
+A scan whose root path would walk more than one block of prefixes takes a
+linear tail instead, when the forms have one (`_tail_plan`): a quadric
+with no square term in the last r coordinates z is affine in z over a
+fixed prefix y, and row reduction mod p finds e >= r such combinations of
+the forms for the largest such r.  P^{d-1} is then P^{r-1} of the tail
+(y = 0, scanned alike) followed by every prefix y of P^{d-r-1} with the
+solutions z of its e x r system, in (y, z) order; only those go through
+the other forms.
+
+The same field tables solve these and other batches of small affine
+systems (`affine_solve`) and count the zeros of batches of quadratic forms
+in closed form (`quadric_points`): the fibres of the chart counts in
 `counting`.
 """
 
@@ -217,15 +226,78 @@ def _candidates(x, t1, t2, every, q):
         yield y
 
 
-def _scan(field, d, dtype, forms, mode, workers):
-    """Filter P^{d-1}(F_q) through the forms (at least one).  `field` gives
-    `values(x, form)`, the form's values on the rows of x as int64 codes;
-    `split(form, d)`, the (a, b, c) with form = a t^2 + b t + c, b and c being
-    forms valued on rows whose last coordinate is 1; and `roots`.
+def rref_mod_p(a, p):
+    """Reduced row-echelon form of an int64 matrix mod p: (rows, pivots)."""
+    a = a % p
+    pivots = []
+    for j in range(a.shape[1]):
+        r = len(pivots)
+        if r == len(a):
+            break
+        nz = np.flatnonzero(a[r:, j])
+        if not nz.size:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        row = a[r] * pow(int(a[r, j]), -1, p) % p
+        a = (a - np.outer(a[:, j], row)) % p
+        a[r] = row
+        pivots.append(j)
+    return a[: len(pivots)], pivots
+
+
+def _tail_plan(forms, p, d):
+    """The linear tail of upper-triangular (d, d) forms over F_p, or None.
+
+    Each form is a row of its coefficients on the monomials x_i x_j (i <= j),
+    ordered by min(i, j) descending, and the rows are reduced mod p, which
+    keeps their zero set.  The r (r + 1) / 2 monomials in the last r
+    coordinates z come first, so a row pivoting past them has no term in z
+    alone: with x = (y, z) it is affine in z over a fixed y.  r is the
+    largest with at least r such rows, and at least 2: at r = 1 the prefixes
+    would be the root path's own.  Returns (r, lin, linear forms,
+    residual forms), lin[i, l r + c] being the y_i z_c coefficient of the
+    l-th linear form."""
+    i, j = np.array([(a, b) for a in range(d - 1, -1, -1) for b in range(a, d)]).T
+    rows, pivots = rref_mod_p(forms[:, i, j], p)
+    for r in range(d - 1, 1, -1):
+        lin = np.array(pivots, dtype=np.int64) >= r * (r + 1) // 2
+        if lin.sum() >= r:
+            break
+    else:
+        return None
+    mats = np.zeros((len(rows), d, d), dtype=np.int64)
+    mats[:, i, j] = rows
+    coef = mats[lin, : d - r, d - r :].transpose(1, 0, 2).reshape(d - r, -1)
+    return r, coef, mats[lin], mats[~lin]
+
+
+def _scan(field, d, forms, mode, workers):
+    """Filter P^{d-1}(F_q) through quadratic forms, (d, d) integer arrays
+    over F_p.  `field` gives `values(x, form)`, the form's values on the rows
+    of x as int64 codes, on forms it has `compile`d; `dtype(d)`, the dtype of
+    the rows; `split(form, d)`, the (a, b, c) with form = a t^2 + b t + c, b
+    and c being forms valued on rows whose last coordinate is 1; `roots`,
+    and the arithmetic of `affine_solve` and `fp_map`.
+
+    A scan whose root path would walk more than one block of prefixes
+    (#P^{d-2} > BLOCK) takes the linear tail of `_tail_plan` if the forms
+    have one; every other scan takes the root path.  Both give the same
+    points in the same order.
 
     mode "count" returns (count, []); "collect" (count, points); "first"
     (1, [first point]) or (0, []).
     """
+    mats = np.array(forms, dtype=np.int64).reshape(-1, d, d)
+    if not len(mats):
+        mats = np.zeros((1, d, d), dtype=np.int64)
+    # upper-triangular: x_i x_j and x_j x_i are one monomial
+    forms = (np.triu(mats) + np.tril(mats, -1).swapaxes(1, 2)) % field.p
+    dtype = field.dtype(d)
+    if num_projective_points(field.q, d - 1) > BLOCK:
+        plan = _tail_plan(forms, field.p, d)
+        if plan is not None:
+            return _tail_scan(field, d, dtype, forms, plan, mode, workers)
+    forms = [field.compile(c) for c in forms]
     last = np.zeros((1, d), dtype=dtype)
     last[0, -1] = 1
     count = int(all(field.values(last, f)[0] == 0 for f in forms))
@@ -233,26 +305,92 @@ def _scan(field, d, dtype, forms, mode, workers):
     if d == 1 or (count and mode == "first"):
         return count, points
     a, bform, cform = field.split(forms[0], d)
-    rest = forms[1:]
 
     def survivors(x):
         x[:, -1] = 1
         b, c = field.values(x, bform), field.values(x, cform)
-        n, found = 0, []
-        for y in _candidates(x, *field.roots(a, b, c), field.q):
-            for form in rest:
-                if not len(y):
-                    break
-                y = y.compress(field.values(y, form) == 0, axis=0)
-            n += len(y)
-            if mode != "count" and len(y):
-                found.append(y)
-                if mode == "first":
-                    break
-        return n, found
+        return _filter(field, _candidates(x, *field.roots(a, b, c), field.q), forms[1:], mode)
 
     blocks = projective_blocks(field.q, d - 1, dtype, d)
-    for n, found in _in_block_order(blocks, survivors, workers):
+    return _merge(_in_block_order(blocks, survivors, workers), mode, count, points)
+
+
+def _tail_scan(field, d, dtype, forms, plan, mode, workers):
+    """The scan with the last r coordinates z solved linearly.  The points
+    with y = 0 come first: P^{r-1} of the tail, scanned on the forms' z
+    parts.  On a prefix y of P^{d-r-1} the linear forms f are the system
+    sum_c (y lin_c) z_c + f(y, 0) = 0, solved for a block of prefixes at
+    once; its solutions, in (prefix, z) order, go through the residual
+    forms."""
+    r, lin, linear, residual = plan
+    s = d - r
+    count, points = _scan(field, r, forms[:, s:, s:], mode, workers)
+    points = [(0,) * s + pt for pt in points]
+    if count and mode == "first":
+        return count, points
+    linear = [field.compile(c) for c in linear]
+    residual = [field.compile(c) for c in residual]
+
+    def survivors(x):
+        const = np.stack([field.values(x, c) for c in linear], axis=1)
+        coef = fp_map(field, x[:, :s].astype(np.int64), lin).reshape(len(x), len(linear), r)
+        # solved for z reversed, so that each pivot z_c depends only on free z left of c
+        system = np.concatenate((coef[:, :, ::-1], const[:, :, None]), axis=2)
+        rank, ok, sol = affine_solve(field, system)
+        sizes = np.where(ok, field.q ** (r - rank), 0)
+        fibres = _fibres(field, x, s, sol[:, ::-1, r], sol[:, ::-1, r - 1 :: -1], sizes)
+        return _filter(field, fibres, residual, mode)
+
+    blocks = projective_blocks(field.q, s, dtype, d)
+    return _merge(_in_block_order(blocks, survivors, workers), mode, count, points)
+
+
+def _fibres(field, x, s, v0, kern, sizes):
+    """The rows of x with each solution z put in columns s.., in (row, z)
+    order, in chunks of at most 2 BLOCK rows.  Row i has sizes[i] solutions
+    v0_i + sum_c t_c kern_i[:, c] over its free columns c, where z_c = t_c
+    and each pivot z depends only on the free t left of it; so z runs in
+    order as t does, t_c being the base-q digits of 0..sizes[i] - 1 in the
+    order of c."""
+    q, r = field.q, len(v0[0])
+    free = kern[:, np.arange(r), np.arange(r)] != 0
+    place = q ** np.where(free, free.sum(axis=1, keepdims=True) - np.cumsum(free, axis=1), 0)
+    ends = np.cumsum(sizes)
+    for lo in range(0, int(ends[-1]), 2 * BLOCK):
+        g = np.arange(lo, min(lo + 2 * BLOCK, int(ends[-1])))
+        rows = np.searchsorted(ends, g, side="right")
+        z = v0[rows]
+        k = np.flatnonzero(sizes[rows] > 1)
+        at, digits = rows[k], g[k] - ends[rows[k]] + sizes[rows[k]]
+        for c in np.flatnonzero(free[at].any(axis=0)):
+            t = digits // place[at, c] % q * free[at, c]
+            z[k] = field.add(z[k], field.mul(t[:, None], kern[at, :, c]))
+        y = x.take(rows, axis=0)
+        y[:, s:] = z
+        yield y
+
+
+def _filter(field, chunks, forms, mode):
+    """(number, chunks) of the candidate rows where every form vanishes; a
+    first-hit scan stops at the first chunk with a hit."""
+    n, found = 0, []
+    for y in chunks:
+        for form in forms:
+            if not len(y):
+                break
+            y = y.compress(field.values(y, form) == 0, axis=0)
+        n += len(y)
+        if mode != "count" and len(y):
+            found.append(y)
+            if mode == "first":
+                break
+    return n, found
+
+
+def _merge(results, mode, count, points):
+    """Block results added in block order to (count, points); a first-hit
+    scan returns at the first block with a hit."""
+    for n, found in results:
         if mode == "first" and n:
             return 1, [tuple(int(v) for v in found[0][0])]
         count += n
@@ -261,20 +399,9 @@ def _scan(field, d, dtype, forms, mode, workers):
     return count, points
 
 
-def _exact_dtype(q: int, d: int):
-    """The float dtype in which every partial sum of x^T c x is an exact
-    integer: entries of x and c are < q, so the sum is at most d^2 (q-1)^3."""
-    bound = d * d * (q - 1) ** 3
-    if bound < 1 << 24:
-        return np.float32
-    if bound < 1 << 53:
-        return np.float64
-    raise ValueError(f"q = {q}, d = {d}: form values exceed exact float64 range")
-
-
 class PrimeTables(_Solver):
     """F_p arithmetic on int64 codes; forms are float (d, d) matrices c with
-    values sum((x @ c) * x) mod p, exact in the dtype of `_exact_dtype`."""
+    values sum((x @ c) * x) mod p, exact in the dtype of `dtype`."""
 
     def __init__(self, p):
         self.q = self.p = p
@@ -293,6 +420,19 @@ class PrimeTables(_Solver):
             v = np.einsum("ij,ij->i", v, x)
         return v.astype(np.int64) % self.p
 
+    def dtype(self, d):
+        """The float dtype in which every partial sum of x^T c x is an exact
+        integer: entries of x and c are < p, so the sum is at most d^2 (p-1)^3."""
+        bound = d * d * (self.p - 1) ** 3
+        if bound < 1 << 24:
+            return np.float32
+        if bound < 1 << 53:
+            return np.float64
+        raise ValueError(f"q = {self.p}, d = {d}: form values exceed exact float64 range")
+
+    def compile(self, c):
+        return c.astype(self.dtype(len(c)))
+
     def split(self, c, d):
         b = np.zeros(d, dtype=c.dtype)
         b[:-1] = (c[:-1, -1] + c[-1, :-1]) % self.p
@@ -304,23 +444,17 @@ class PrimeTables(_Solver):
 _prime_tables = lru_cache(maxsize=None)(PrimeTables)
 
 
-def _prime_scan(forms, q, d, mode, workers=1):
-    dtype = _exact_dtype(q, d)
-    mats = [(np.asarray(c, dtype=np.int64) % q).astype(dtype) for c in forms]
-    return _scan(_prime_tables(q), d, dtype, mats or [np.zeros((d, d), dtype)], mode, workers)
-
-
 def zero_locus(forms, q: int, d: int, *, collect: bool = False, workers: int = 1):
     """Count (and optionally collect) projective F_q-points where all the
     quadratic forms vanish.  `forms` are (d, d) integer coefficient arrays.
     """
-    count, points = _prime_scan(forms, q, d, "collect" if collect else "count", workers)
+    count, points = _scan(_prime_tables(q), d, forms, "collect" if collect else "count", workers)
     return count, points if collect else None
 
 
 def find_first_zero(forms, q: int, d: int):
     """First projective F_q-point (enumeration order) where all forms vanish."""
-    _, points = _prime_scan(forms, q, d, "first")
+    _, points = _scan(_prime_tables(q), d, forms, "first", 1)
     return points[0] if points else None
 
 
@@ -359,12 +493,15 @@ class ExtTables(_Solver):
     def mul(self, a, b):
         return self.exp[self.log[a] + self.log[b]]
 
+    def dtype(self, d):
+        return np.int64
+
     def compile(self, form):
         """The form as sum_i x_i L_i, L_i = sum_{j >= i} c_ij x_j: a list of
         (i, [(j, log c_ij), ...]) over the nonzero prime-subfield c_ij."""
-        d = len(form)
+        d, form = len(form), np.asarray(form).tolist()
         rows = [
-            (i, [(j, int(self.ext.log_table[int(form[i][j])])) for j in range(i, d) if int(form[i][j])])
+            (i, [(j, self.ext.log_table[form[i][j]]) for j in range(i, d) if form[i][j]])
             for i in range(d)
         ]
         return [(i, row) for i, row in rows if row]
@@ -397,14 +534,12 @@ _tables_for = lru_cache(maxsize=None)(ExtTables)
 def ext_zero_locus(forms, ext, d: int, *, find_first: bool = False, workers: int = 1):
     """Scan P^{d-1}(F_{p^m}) for common zeros of quadratic forms.
 
-    `forms` are (d, d) upper-triangular coefficient matrices with entries in
-    the prime subfield (ints in [0, p)).  Returns (count, []), or with
+    `forms` are (d, d) integer coefficient arrays, read mod p as elements of
+    the prime subfield, as for `zero_locus`.  Returns (count, []), or with
     find_first (1, [first hit]) or (0, []); points are index-vectors.
     """
-    tables = _tables_for(ext)
-    terms = [tables.compile(c) for c in forms] or [[]]
     mode = "first" if find_first else "count"
-    return _scan(tables, d, np.int64, terms, mode, workers)
+    return _scan(_tables_for(ext), d, forms, mode, workers)
 
 
 def field_tables(field):

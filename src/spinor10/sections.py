@@ -17,7 +17,7 @@ from .clifford import DIM_S, DIM_V, MINUS, PLUS, bV, pairing_orthogonal
 from .fields import Field, PrimeField, RationalField
 from .gamma import coords_in, gamma, mu_table, rho_form
 from .linalg import Subspace, SymBilinearForm, check_invariant, mat_vec, transpose
-from .scan import find_first_zero, num_projective_points
+from .scan import find_first_zero, num_projective_points, rref_mod_p
 from .spaces import span_pi4
 from .variety import (
     MU_INT,
@@ -96,23 +96,6 @@ def _monomial_products(k, D):
     ]).T
 
 
-def _rref_mod_p(a, p):
-    """Reduced row-echelon form of an int64 matrix mod p: (rows, pivots)."""
-    a = a % p
-    pivots = []
-    for j in range(a.shape[1]):
-        r = len(pivots)
-        nz = np.flatnonzero(a[r:, j])
-        if not nz.size:
-            continue
-        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        row = a[r] * pow(int(a[r, j]), -1, p) % p
-        a = (a - np.outer(a[:, j], row)) % p
-        a[r] = row
-        pivots.append(j)
-    return a[: len(pivots)], pivots
-
-
 def _hilbert_function(forms, p, k):
     """c_D = dim (S/I)_D, D = 2, ..., k + 1 or the first c_D = 0, for I the
     ideal of quadrics (upper-triangular (k, k) arrays) in F_p[x_0..x_{k-1}].
@@ -125,7 +108,7 @@ def _hilbert_function(forms, p, k):
     head = np.eye(len(i), dtype=np.int64)
     hilbert = []
     for D in range(2, k + 2):
-        red, pivots = _rref_mod_p(rows, p)
+        red, pivots = rref_mod_p(rows, p)
         free = np.setdiff1d(np.arange(rows.shape[1]), pivots)
         hilbert.append(len(free))
         if not len(free) or D == k + 1:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinor10.fields import (
-    ExtField, PrimeField, QQ, _poly_mulmod, field_spec, is_prime,
+    ExtField, PrimeField, QQ, _factor, _find_primitive, _poly_mulmod, _poly_powmod, field_spec, is_prime,
 )
 from spinor10.linalg import (
     Subspace,
@@ -232,6 +232,25 @@ def test_ext_field_tables_equal_the_stepped_powers_of_the_generator(p, m):
     f = ExtField(p, m)
     assert (f.exp_table, f.log_table) == stepped_tables(p, m)
     assert all(type(a) is int for a in f.exp_table + f.log_table)
+
+
+def unfiltered_primitive(p, m):
+    """The first monic f in code order in which x has order q - 1, trying
+    every code with f(0) != 0."""
+    q = p**m
+    x, one = [0, 1] + [0] * (m - 2), [1] + [0] * (m - 1)
+    for code in range(1, q):
+        modulus = [code // p**t % p for t in range(m)] + [1]
+        if code % p and _poly_powmod(x, q - 1, modulus, p) == one and all(
+            _poly_powmod(x, (q - 1) // ell, modulus, p) != one for ell in _factor(q - 1)
+        ):
+            return modulus
+
+
+def test_norm_filter_keeps_the_first_primitive_modulus():
+    orders = [(p, m) for p in range(2, 1 << 12) if is_prime(p) for m in range(1, 13) if p**m <= 1 << 12]
+    assert len(orders) == 604
+    assert all(_find_primitive(p, m) == unfiltered_primitive(p, m) for p, m in orders)
 
 
 def _digitwise(p, m, a, b, sign=1):

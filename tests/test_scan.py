@@ -5,10 +5,11 @@ import random
 from functools import reduce
 from itertools import product
 
+import numpy as np
 import pytest
 
 from spinor10 import scan
-from spinor10.clifford import DIM_S, DIM_V, MINUS, MU_INT, bV, qV
+from spinor10.clifford import DIM_S, DIM_V, MINUS, MU_INT, PLUS, bV, qV
 from spinor10.counting import count_section_points
 from spinor10.fields import PrimeField, get_ext_field
 from spinor10.gamma import mu_table
@@ -101,6 +102,8 @@ def test_ext_zero_locus_matches_ext_field_arithmetic(p, m):
             ]
             ref = list(field_zeros(ext, ext.q, forms, d))
             assert ext_zero_locus(forms, ext, d)[0] == len(ref)
+            # x^T c x = x^T c^T x: the lower triangle is read as the upper one
+            assert ext_zero_locus([list(zip(*c)) for c in forms], ext, d)[0] == len(ref)
             first = ext_zero_locus(forms, ext, d, find_first=True)
             assert first == ((1, ref[:1]) if ref else (0, []))
 
@@ -269,3 +272,183 @@ def test_mu_span_matches_brute_force_over_the_extension(p):
         assert got == brute_mu_span(field, basis, 2)
         seen.add(got)
     assert len(seen) > 1
+
+
+# --- the linear tail ----------------------------------------------------------
+
+
+def tail_and_root(monkeypatch, run):
+    """run() with the linear tail allowed, then on the root path alone; with
+    the r of each tail taken and the most solutions of one fibre."""
+    plans, sizes = [], [0]
+    tail_scan, fibres = scan._tail_scan, scan._fibres
+
+    def spy_scan(field, d, dtype, forms, plan, *rest):
+        plans.append(plan[0])
+        return tail_scan(field, d, dtype, forms, plan, *rest)
+
+    def spy_fibres(field, x, s, v0, kern, counts):
+        sizes.append(int(counts.max()))
+        return fibres(field, x, s, v0, kern, counts)
+
+    with monkeypatch.context() as m:
+        m.setattr(scan, "_tail_scan", spy_scan)
+        m.setattr(scan, "_fibres", spy_fibres)
+        tail = run()
+    with monkeypatch.context() as m:
+        m.setattr(scan, "_tail_plan", lambda *args: None)
+        root = run()
+    return tail, root, plans, max(sizes)
+
+
+def span_forms(p, d, kind, rng):
+    """Forms over F_p in d coordinates (p^m-points of their zero set being
+    scanned): the ten mu restricted to a d-dim K in S- (X^v_K), or to K^perp
+    of a generic 5-dim K when d = 11 ("perp"); or forms vanishing on a line
+    or a plane (the span of e_0 and the last one or two coordinates), or
+    products of two linear forms, the first one of a pair in x_0, x_1, x_2;
+    the tail systems of these three lose rank on some prefixes."""
+    field = PrimeField(p)
+
+    def rand_lin():
+        return [rng.randrange(p) for _ in range(d)]
+
+    if kind in ("line", "plane"):
+        cut = range(1, d - (2 if kind == "line" else 3) + 1)  # the x_k vanishing there
+        forms = []
+        for _ in range(6):
+            c = [[0] * d for _ in range(d)]
+            for k in cut:
+                for j, a in enumerate(rand_lin()):
+                    c[k][j] += a
+            forms.append(c)
+        return forms
+    if kind == "products":
+        # every form vanishes on the (y, z) with l_0(y) = l_1(y) = 0
+        factors = [[rng.randrange(p) if j < 3 else 0 for j in range(d)] for _ in range(2)]
+        return [[[a * b % p for b in rand_lin()] for a in factors[i % 2]] for i in range(8)]
+    if kind == "perp":
+        K = make_section("generic-5", field, seed=rng.randrange(1 << 20)).Kperp
+        return [restrict_quadric(field, c, K.basis) for c in MU_INT[PLUS]]
+    if kind == "generic":
+        rows = [random_spinor(field, rng, MINUS) for _ in range(d)]
+    elif kind == "special":
+        rows = list(make_section("special", field, seed=3).K.basis)
+        rows += [random_spinor(field, rng, MINUS) for _ in range(d - 2)]
+    else:  # "pure"
+        rows = [random_pure_witness(field, rng, MINUS).spinor for _ in range(d)]
+    K = Subspace(field, DIM_S, rows)
+    assert K.dim == d
+    return [restrict_quadric(field, c, K.basis) for c in MU_INT[MINUS]]
+
+
+DEFICIENT = ("line", "plane", "products")
+
+
+@pytest.mark.parametrize("p, d, n, r", [(3, 8, 5, 2), (3, 8, 9, 3), (5, 7, 14, 4), (2, 9, 2, None)])
+def test_tail_plan_takes_the_largest_r_with_r_forms_affine_in_the_tail(p, d, n, r):
+    # n generic forms leave n - r (r + 1) / 2 without a term in z alone; r = 1 is never taken
+    rng = np.random.default_rng(p * d * n)
+    forms = np.triu(rng.integers(0, p, size=(n, d, d)))
+    plan = scan._tail_plan(forms, p, d)
+    if r is None:
+        assert plan is None
+        return
+    got, lin, linear, residual = plan
+    assert got == r and len(linear) >= r
+    assert not linear[:, d - r :, d - r :].any()
+    assert (lin.reshape(d - r, len(linear), r) == linear[:, : d - r, d - r :].transpose(1, 0, 2)).all()
+    same = scan.rref_mod_p(np.concatenate((linear, residual)).reshape(n, -1), p)
+    assert same[0].tolist() == scan.rref_mod_p(forms.reshape(n, -1), p)[0].tolist()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "p, d, kind",
+    [(3, 11, k) for k in ("random-5", "random-9", "random-14", "perp", "generic", "special", "pure")]
+    + [(3, 11, k) for k in DEFICIENT]
+    + [(5, 8, k) for k in ("random-5", "generic", "pure", "plane", "products")],
+)
+def test_linear_tail_matches_the_root_path_over_fp(monkeypatch, p, d, kind, workers):
+    # #P^{d-2}(F_p) > BLOCK: 29524 prefixes over F_3, 19531 over F_5
+    rng = random.Random(f"{p} {d} {kind}")
+    if kind.startswith("random"):
+        forms = random_forms(rng, p, d, int(kind.split("-")[1]))
+    else:
+        forms = span_forms(p, d, kind, rng)
+
+    def run():
+        return zero_locus(forms, p, d, collect=True, workers=workers), find_first_zero(forms, p, d)
+
+    tail, root, plans, most = tail_and_root(monkeypatch, run)
+    assert tail == root
+    assert plans
+    if kind in DEFICIENT:
+        assert tail[0][0] > 0 and most > 1
+    if kind == "pure":
+        assert tail[0][0] >= d
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "m, d, kind",
+    [(4, 6, k) for k in ("generic", "special", "pure", "line", "plane", "products")]
+    + [(2, 9, k) for k in ("generic", "pure", "plane", "products")],
+)
+def test_linear_tail_matches_the_root_path_over_f2m(monkeypatch, m, d, kind, workers):
+    # F_16 at d = 6 (69905 prefixes), F_4 at d = 9 (21845)
+    ext = get_ext_field(2, m)
+    forms = span_forms(2, d, kind, random.Random(f"{m} {d} {kind}"))
+
+    def run():
+        return ext_zero_locus(forms, ext, d, workers=workers), ext_zero_locus(forms, ext, d, find_first=True)
+
+    tail, root, plans, most = tail_and_root(monkeypatch, run)
+    assert tail == root
+    assert plans
+    if kind in DEFICIENT:
+        assert tail[0][0] > 0 and most > 1
+
+
+@pytest.mark.parametrize("p, m, d", [(3, 1, 6), (2, 2, 5), (5, 1, 4)])
+def test_linear_tail_splits_large_fibres_across_chunks(monkeypatch, p, m, d):
+    # with BLOCK = 8, d - 2 forms x_0 l_i(x) take a tail of d - 2 coordinates
+    # whose fibre over x_0 = 0 has q^(d-2) > 2 BLOCK points
+    rng = random.Random(p * m * d)
+    forms = [[[rng.randrange(p) if i == 0 else 0 for j in range(d)] for i in range(d)] for _ in range(d - 2)]
+    field = PrimeField(p) if m == 1 else get_ext_field(p, m)
+    ref = list(field_zeros(field, p**m, forms, d))
+
+    def run():
+        return zero_locus(forms, p, d, collect=True) if m == 1 else ext_zero_locus(forms, field, d)
+
+    monkeypatch.setattr(scan, "BLOCK", 8)
+    scan._low_table.cache_clear()
+    try:
+        tail, root, plans, most = tail_and_root(monkeypatch, run)
+    finally:
+        monkeypatch.undo()
+        scan._low_table.cache_clear()
+    assert plans == [d - 2] and most > 16
+    assert tail == root == (len(ref), ref if m == 1 else [])
+
+
+def test_k6_profile_scan_over_f16_takes_the_tail_and_one_block_scans_do_not(monkeypatch):
+    field = PrimeField(2)
+    rng = random.Random(6)
+    K = Subspace(field, DIM_S, [random_spinor(field, rng, MINUS) for _ in range(6)])
+    taken = []
+    tail_scan = scan._tail_scan
+
+    def spy(field, d, dtype, forms, plan, *rest):
+        taken.append((field.q, d, plan[0]))
+        return tail_scan(field, d, dtype, forms, plan, *rest)
+
+    monkeypatch.setattr(scan, "_tail_scan", spy)
+    # #P^4(F_8) = 4681 prefixes fit one block; #P^4(F_16) = 69905 do not
+    small = [count_section_points(K, "X^v", m) for m in (1, 2, 3)]
+    assert taken == []
+    big = count_section_points(K, "X^v", 4)
+    assert taken == [(16, 6, 3)]  # 273 prefixes of P^2(F_16)
+    monkeypatch.setattr(scan, "_tail_plan", lambda *args: None)
+    assert [count_section_points(K, "X^v", m) for m in (1, 2, 3, 4)] == small + [big]
