@@ -2,8 +2,7 @@
 counting, and the verification suites `motive` (k = 0..5) and `incidence`.
 
 Exit codes: 0 on success/pass, 1 on verification failure or a budget
-refusal, 2 on usage errors.  Output depends only on (inputs, seed, flags), never on the
-worker count.
+refusal, 2 on usage errors.  Output depends only on (inputs, seed, flags).
 """
 
 from __future__ import annotations
@@ -178,7 +177,8 @@ def cmd_rho(args):
         k1 = _parse_coords(field, args.coords, DIM_S)
         k2 = _parse_coords(field, args.coords2, DIM_S)
     val = rho(field, k1, k2)
-    _emit(args, {"rho": str(val.value), "vanishes": val.vanishes(field)})
+    value = {} if field.char == 2 else {"rho": str(val.value)}
+    _emit(args, {**value, "vanishes": val.vanishes(field)})
     return 0
 
 
@@ -239,7 +239,7 @@ def cmd_count(args):
             K = Subspace(field, DIM_S, [])
         else:
             K = make_section(f"generic-{args.k}", field, seed=args.seed).K
-    rep = count_report(K, args.side, args.ext_degree, budget=args.budget, workers=args.workers)
+    rep = count_report(K, args.side, args.ext_degree, budget=args.budget)
     print(rep.actual)
     return 0 if rep.passed else 1
 
@@ -267,7 +267,7 @@ def cmd_verify(args):
         raise CliError("verify needs a prime field")
     suites = {"motive": _motive_sections, "incidence": _incidence_sections}
     rows = [
-        count_report(K, "X", args.ext_degree, budget=args.budget, workers=args.workers)
+        count_report(K, "X", args.ext_degree, budget=args.budget)
         for K in suites[args.suite](field, random.Random(args.seed))
     ]
     if args.format == "json":
@@ -317,11 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     def seed(p):
         p.add_argument("--seed", type=int, default=0, action=_Given)
 
-    def workers(p):
-        p.add_argument("--workers", type=_int_at_least(1), default=1)
-
-    def fmt(p):
-        p.add_argument("--format", choices=("json", "csv", "plain"), default="plain")
+    def fmt(default):
+        # json, or the one other form the command prints
+        return lambda p: p.add_argument("--format", choices=(default, "json"), default=default)
 
     def coords(p):
         p.add_argument("--coords", help="inline comma-separated spinor coordinates")
@@ -347,33 +345,33 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("member", cmd_member, "test whether a spinor lies on X / X^v",
-            field, half("-"), coords, scene(), fmt)
+            field, half("-"), coords, scene(), fmt("plain"))
     command("gamma", cmd_gamma, "evaluate the gamma map on a spinor in S-",
-            field, coords, scene(), fmt)
+            field, coords, scene(), fmt("plain"))
     command("annihilator", cmd_annihilator, "annihilator of a spinor inside V",
-            field, half("-"), coords, scene(), fmt)
+            field, half("-"), coords, scene(), fmt("plain"))
     p = command("span", cmd_span, "annihilator_kernel of a subspace, or span_pi4",
-                field, half("+"), coords, scene(), fmt)
+                field, half("+"), coords, scene(), fmt("plain"))
     p.add_argument("--kind", choices=("annihilator-kernel", "pi4"), required=True)
     p = command("rho", cmd_rho, "spinor quadratic line complex value",
-                field, coords, fmt)
+                field, coords, fmt("plain"))
     p.add_argument("--coords2")
     p.add_argument("--scene", help="scene JSON file")
     p.add_argument("--objects", help="comma-separated pair of scene object names")
     command("classify", cmd_classify, "classify a linear section",
-            scene(required=True), fmt)
+            scene(required=True), fmt("plain"))
     p = command("make-section", cmd_make_section, "construct a section and emit a scene",
                 field, seed)
     p.add_argument("--kind", required=True, help="special | very-special | generic-K")
     p.add_argument("--out", help="output scene path (default stdout)")
     command("f4", cmd_f4, "scan for linear 4-spaces inside a section",
-            scene(required=True), fmt)
+            scene(required=True), fmt("plain"))
     p = command("count", cmd_count, "count points of X_K / X^v_K",
-                field, seed, count_limits, workers, scene())
+                field, seed, count_limits, scene())
     p.add_argument("--k", type=int, default=0, action=_Given)
     p.add_argument("--side", choices=("X", "X^v"), default="X")
     p = command("verify", cmd_verify, "run a named verification suite",
-                field, seed, count_limits, workers, fmt)
+                field, seed, count_limits, fmt("csv"))
     p.add_argument("suite", choices=("motive", "incidence"))
 
     return ap

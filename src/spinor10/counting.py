@@ -12,7 +12,7 @@ on the solutions, counted in closed form (`scan.quadric_points`).  A large
 X^v_K is counted on the same charts as X_{K'} (`_dual_section`).  Smaller
 X_K and X^v_K are counted by scanning the normalized projective
 representatives of the ambient space in lexicographic order (see `scan`).
-Both are deterministic and independent of the worker count.
+Both are deterministic.
 """
 
 from __future__ import annotations
@@ -216,21 +216,16 @@ def _pfaffian_forms(tables, row, sol):
 
 
 def count_section_points(
-    K: Subspace,
-    side: str = "X",
-    m: int = 1,
-    *,
-    budget: int = DEFAULT_COUNT_BUDGET,
-    workers: int = 1,
+    K: Subspace, side: str = "X", m: int = 1, *, budget: int = DEFAULT_COUNT_BUDGET
 ) -> int:
     """Exact number of F_{q^m}-points of X_K (side "X") or X^v_K ("X^v").
 
     Both are counted on the 16 charts of X (`count_on_charts`, side "X^v"
     as X_{K'}) when the ambient space P(K^perp) resp. P(K) has more than
     CHART_CROSSOVER[m > 1] * 16 q^(4m) F_{q^m}-points; otherwise its points
-    are scanned (`workers` threads, same count for any number).  The budget
-    bounds what the chosen method enumerates, 16 q^(4m) fibres or the
-    scanned points: more is refused with BudgetExceededError.
+    are scanned.  The budget bounds what the chosen method enumerates,
+    16 q^(4m) fibres or the scanned points: more is refused with
+    BudgetExceededError.
     """
     field = K.field
     if not isinstance(field, PrimeField):
@@ -252,9 +247,9 @@ def count_section_points(
         return count_on_charts(K if side == "X" else _dual_section(K), m)
     forms = [restrict_quadric(field, c, amb.basis) for c in quadrics]
     if m == 1:
-        count, _ = zero_locus(forms, q, d, workers=workers)
+        count, _ = zero_locus(forms, q, d)
         return count
-    count, _ = ext_zero_locus(forms, get_ext_field(q, m), d, workers=workers)
+    count, _ = ext_zero_locus(forms, get_ext_field(q, m), d)
     return count
 
 
@@ -323,9 +318,7 @@ def verify_blowup_identity(K: Subspace, m: int = 1, **kw) -> CountReport:
     )
 
 
-def dual_point_profile(
-    K: Subspace, max_degree: int = 4, *, budget: int = DEFAULT_COUNT_BUDGET, workers: int = 1
-):
+def dual_point_profile(K: Subspace, max_degree: int = 4, *, budget: int = DEFAULT_COUNT_BUDGET):
     """Closed points of X^v_K of degree <= max_degree (12 in all for generic k = 6).
 
     Returns (counts, degrees) where counts[m] = #X^v_K(F_{q^m}) and degrees
@@ -336,7 +329,7 @@ def dual_point_profile(
     counts = {}
     for m in range(1, max_degree + 1):
         try:
-            counts[m] = count_section_points(K, "X^v", m, budget=budget, workers=workers)
+            counts[m] = count_section_points(K, "X^v", m, budget=budget)
         except BudgetExceededError:
             if m == 1:
                 raise

@@ -2,8 +2,8 @@
 polarization, and the spinor quadratic line complex R with the restricted
 forms R_K (on Pluecker coordinates of Lambda^2 K) and R_{kappa,K}.
 
-`gamma` and `mu_table` work in every characteristic; everything else
-divides by 2 and therefore requires characteristic != 2.
+`gamma`, `mu_table` and whether `rho` vanishes work in every characteristic;
+everything else divides by 2 and therefore requires characteristic != 2.
 """
 
 from __future__ import annotations
@@ -61,10 +61,19 @@ def polarize_mu(field: Field, k1, k2):
 
 @dataclass(frozen=True)
 class LineComplexValue:
-    value: object
+    """rho on a pencil, held as b = b_V(mu(k1), mu(k2)) = -2 rho, which
+    vanishes with rho in every characteristic; `value`, rho, needs char != 2."""
+
+    field: Field
+    b: object
+
+    @property
+    def value(self):
+        _require_odd_char(self.field)
+        return self.field.mul(self.field.inv(self.field.from_int(-2)), self.b)
 
     def vanishes(self, field: Field) -> bool:
-        return self.value == field.zero
+        return self.b == field.zero
 
 
 def rho(field: Field, k1, k2) -> LineComplexValue:
@@ -75,11 +84,10 @@ def rho(field: Field, k1, k2) -> LineComplexValue:
 
     The value is b_V(q~(k1,k2), q~(k1,k2)).  Polarizing q_V(mu(kappa)) == 0
     over Z gives b_V(mu(k1), mu(k2)) = -2 b_V(q~(k1,k2), q~(k1,k2)), so it is
-    computed from mu(k1) and mu(k2) alone.
+    computed from mu(k1) and mu(k2) alone, and whether it vanishes is read
+    from b_V(mu(k1), mu(k2)) in every characteristic.
     """
-    _require_odd_char(field)
-    value = bV(field, mu(field, k1, MINUS), mu(field, k2, MINUS))
-    return LineComplexValue(field.mul(field.inv(field.from_int(-2)), value))
+    return LineComplexValue(field, bV(field, mu(field, k1, MINUS), mu(field, k2, MINUS)))
 
 
 @dataclass(frozen=True)

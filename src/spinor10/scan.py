@@ -2,8 +2,7 @@
 
 Enumeration order is the lexicographic order of normalized projective
 representatives (first nonzero coordinate = 1), realized as contiguous
-blocks by leading-coordinate position; parallel runs merge block results
-in block order, so output is independent of the worker count.
+blocks by leading-coordinate position and scanned in that order.
 
 A scan enumerates prefixes and solves for the coordinates after them.  On
 the root path P^{d-1} is the point e_{d-1} followed by every prefix
@@ -29,8 +28,6 @@ in closed form (`quadric_points`): the fibres of the chart counts in
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
@@ -107,23 +104,6 @@ def _pieces(q, d, dtype, width):
 
 # Kept under its old name: extension scans enumerate the same index vectors.
 ext_projective_blocks = projective_blocks
-
-
-def _in_block_order(blocks, fn, workers):
-    """fn over the blocks, results in block order.  At most workers + 1
-    blocks are in flight, which bounds memory and lets a first-hit scan
-    stop soon after its hit."""
-    if workers <= 1:
-        yield from map(fn, blocks)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        pending = deque()
-        for block in blocks:
-            pending.append(ex.submit(fn, block))
-            if len(pending) > workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
 
 
 class _Solver:
@@ -271,7 +251,7 @@ def _tail_plan(forms, p, d):
     return r, coef, mats[lin], mats[~lin]
 
 
-def _scan(field, d, forms, mode, workers):
+def _scan(field, d, forms, mode):
     """Filter P^{d-1}(F_q) through quadratic forms, (d, d) integer arrays
     over F_p.  `field` gives `values(x, form)`, the form's values on the rows
     of x as int64 codes, on forms it has `compile`d; `dtype(d)`, the dtype of
@@ -296,7 +276,7 @@ def _scan(field, d, forms, mode, workers):
     if num_projective_points(field.q, d - 1) > BLOCK:
         plan = _tail_plan(forms, field.p, d)
         if plan is not None:
-            return _tail_scan(field, d, dtype, forms, plan, mode, workers)
+            return _tail_scan(field, d, dtype, forms, plan, mode)
     forms = [field.compile(c) for c in forms]
     last = np.zeros((1, d), dtype=dtype)
     last[0, -1] = 1
@@ -312,10 +292,10 @@ def _scan(field, d, forms, mode, workers):
         return _filter(field, _candidates(x, *field.roots(a, b, c), field.q), forms[1:], mode)
 
     blocks = projective_blocks(field.q, d - 1, dtype, d)
-    return _merge(_in_block_order(blocks, survivors, workers), mode, count, points)
+    return _merge(map(survivors, blocks), mode, count, points)
 
 
-def _tail_scan(field, d, dtype, forms, plan, mode, workers):
+def _tail_scan(field, d, dtype, forms, plan, mode):
     """The scan with the last r coordinates z solved linearly.  The points
     with y = 0 come first: P^{r-1} of the tail, scanned on the forms' z
     parts.  On a prefix y of P^{d-r-1} the linear forms f are the system
@@ -324,7 +304,7 @@ def _tail_scan(field, d, dtype, forms, plan, mode, workers):
     forms."""
     r, lin, linear, residual = plan
     s = d - r
-    count, points = _scan(field, r, forms[:, s:, s:], mode, workers)
+    count, points = _scan(field, r, forms[:, s:, s:], mode)
     points = [(0,) * s + pt for pt in points]
     if count and mode == "first":
         return count, points
@@ -342,7 +322,7 @@ def _tail_scan(field, d, dtype, forms, plan, mode, workers):
         return _filter(field, fibres, residual, mode)
 
     blocks = projective_blocks(field.q, s, dtype, d)
-    return _merge(_in_block_order(blocks, survivors, workers), mode, count, points)
+    return _merge(map(survivors, blocks), mode, count, points)
 
 
 def _fibres(field, x, s, v0, kern, sizes):
@@ -389,7 +369,8 @@ def _filter(field, chunks, forms, mode):
 
 def _merge(results, mode, count, points):
     """Block results added in block order to (count, points); a first-hit
-    scan returns at the first block with a hit."""
+    scan returns at the first block with a hit, and as results are drawn
+    lazily, no later block is made or scanned."""
     for n, found in results:
         if mode == "first" and n:
             return 1, [tuple(int(v) for v in found[0][0])]
@@ -444,17 +425,17 @@ class PrimeTables(_Solver):
 _prime_tables = lru_cache(maxsize=None)(PrimeTables)
 
 
-def zero_locus(forms, q: int, d: int, *, collect: bool = False, workers: int = 1):
+def zero_locus(forms, q: int, d: int, *, collect: bool = False):
     """Count (and optionally collect) projective F_q-points where all the
     quadratic forms vanish.  `forms` are (d, d) integer coefficient arrays.
     """
-    count, points = _scan(_prime_tables(q), d, forms, "collect" if collect else "count", workers)
+    count, points = _scan(_prime_tables(q), d, forms, "collect" if collect else "count")
     return count, points if collect else None
 
 
 def find_first_zero(forms, q: int, d: int):
     """First projective F_q-point (enumeration order) where all forms vanish."""
-    _, points = _scan(_prime_tables(q), d, forms, "first", 1)
+    _, points = _scan(_prime_tables(q), d, forms, "first")
     return points[0] if points else None
 
 
@@ -531,7 +512,7 @@ class ExtTables(_Solver):
 _tables_for = lru_cache(maxsize=None)(ExtTables)
 
 
-def ext_zero_locus(forms, ext, d: int, *, find_first: bool = False, workers: int = 1):
+def ext_zero_locus(forms, ext, d: int, *, find_first: bool = False):
     """Scan P^{d-1}(F_{p^m}) for common zeros of quadratic forms.
 
     `forms` are (d, d) integer coefficient arrays, read mod p as elements of
@@ -539,7 +520,7 @@ def ext_zero_locus(forms, ext, d: int, *, find_first: bool = False, workers: int
     find_first (1, [first hit]) or (0, []); points are index-vectors.
     """
     mode = "first" if find_first else "count"
-    return _scan(_tables_for(ext), d, forms, mode, workers)
+    return _scan(_tables_for(ext), d, forms, mode)
 
 
 def field_tables(field):

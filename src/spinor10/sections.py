@@ -15,7 +15,7 @@ import numpy as np
 
 from .clifford import DIM_S, DIM_V, MINUS, PLUS, bV, pairing_orthogonal
 from .fields import Field, PrimeField, RationalField
-from .gamma import coords_in, gamma, mu_table, rho_form
+from .gamma import coords_in, gamma, mu_table, rho, rho_form
 from .linalg import Subspace, SymBilinearForm, check_invariant, mat_vec, transpose
 from .scan import find_first_zero, num_projective_points, rref_mod_p
 from .spaces import span_pi4
@@ -23,7 +23,6 @@ from .variety import (
     MU_INT,
     annihilator_kernel,
     is_pure,
-    mu,
     phi_v,
     random_isotropic,
     random_pure_witness,
@@ -192,7 +191,7 @@ def _is_special_pencil(field: Field, basis) -> bool:
     mu(t k_0 + u k_1) = t^2 a + t u B + u^2 c.  As q_V(mu) = 0 over Z,
     b_V(a, B) = b_V(B, c) = 0 and q_V(B) = -b_V(a, c) = 2 rho(k_0, k_1), so
     this says the span of mu over the pencil is totally isotropic."""
-    return bV(field, mu(field, basis[0], MINUS), mu(field, basis[1], MINUS)) == field.zero
+    return rho(field, *basis).vanishes(field)
 
 
 def _is_very_special(field: Field, basis) -> bool:

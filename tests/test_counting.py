@@ -168,13 +168,6 @@ def test_extension_count_matches_prediction():
     assert count_section_points(s.K, "X", 2) == predicted_count(3, 4)
 
 
-def test_count_independent_of_workers():
-    s = make_section("generic-2", F2, seed=9)
-    a = count_section_points(s.K, "X", workers=1)
-    b = count_section_points(s.K, "X", workers=4)
-    assert a == b == predicted_count(2, 2)
-
-
 def test_blowup_identity_smooth_sections():
     for k in (1, 2, 3, 4, 5):
         s = make_section(f"generic-{k}", F2, seed=10 + k)

@@ -108,6 +108,24 @@ def test_polarize_mu_char2_rejected():
         polarize_mu(F2, spin(F2, MINUS, (1,)), spin(F2, MINUS, (2,)))
 
 
+def test_rho_vanishing_is_read_in_characteristic_2():
+    # e_1 is pure, so rho vanishes on every pencil through it; on random
+    # pencils it vanishes exactly where b_V(mu(k1), mu(k2)) does, and -b / 2
+    # has no meaning
+    e1, e2 = spin(F2, MINUS, (1,)), spin(F2, MINUS, (2,))
+    assert rho(F2, e1, e2).vanishes(F2)
+    rng = random.Random(2)
+    seen = set()
+    for _ in range(40):
+        k1, k2 = random_spinor(F2, rng, MINUS), random_spinor(F2, rng, MINUS)
+        val = rho(F2, k1, k2)
+        seen.add(val.vanishes(F2))
+        assert val.vanishes(F2) == (bV(F2, mu(F2, k1, MINUS), mu(F2, k2, MINUS)) == 0)
+        with pytest.raises(ValueError):
+            val.value
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_line_complex_is_minus_twice_rho(p):
     # mu(t k1 + u k2) = t^2 a + t u B + u^2 c with q_V(mu) = 0 over Z gives

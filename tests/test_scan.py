@@ -2,6 +2,7 @@
 large q."""
 
 import random
+from contextlib import contextmanager
 from functools import reduce
 from itertools import product
 
@@ -180,14 +181,27 @@ def test_solver_tables_are_built_on_first_use(monkeypatch):
     assert "zech" not in vars(tables)  # characteristic 2 adds by XOR
 
 
-@pytest.mark.parametrize("p, d", [(2, 16), (3, 10)])
-def test_collect_is_independent_of_the_worker_count(p, d):
-    forms = [restrict_quadric(PrimeField(p), c, [[int(i == j) for j in range(16)] for i in range(d)])
-             for c in MU_INT[MINUS]]
-    one = zero_locus(forms, p, d, collect=True, workers=1)
-    assert one[0] > 0
-    assert zero_locus(forms, p, d, collect=True, workers=2) == one
-    assert zero_locus(forms, p, d, workers=2)[0] == one[0]
+def test_first_hit_scan_draws_no_block_after_its_hit(monkeypatch):
+    # x_9^2 + x_10^2 over F_3 (-1 is no square): zero only where x_9 = x_10 = 0;
+    # one form has no linear tail, so #P^9(F_3) = 29524 prefixes take the root path
+    d = 11
+    form = [[int(i == j >= d - 2) for j in range(d)] for i in range(d)]
+    assert scan._tail_plan(np.array([form]), 3, d) is None
+    drawn = []
+    blocks = scan.projective_blocks
+
+    def spy(*args):
+        for block in blocks(*args):
+            drawn.append(len(block))
+            yield block
+
+    monkeypatch.setattr(scan, "projective_blocks", spy)
+    assert zero_locus([form], 3, d)[0] == (3**9 - 1) // 2
+    assert len(drawn) >= 2 and sum(drawn) == (3**10 - 1) // 2
+    drawn.clear()
+    # the hit e_8 lies in the first block: the scan stops there
+    assert find_first_zero([form], 3, d) == tuple(int(i == d - 3) for i in range(d))
+    assert len(drawn) == 1
 
 
 def test_dual_count_through_three_pure_spinors_f1021():
@@ -277,6 +291,18 @@ def test_mu_span_matches_brute_force_over_the_extension(p):
 # --- the linear tail ----------------------------------------------------------
 
 
+@contextmanager
+def block_size(monkeypatch, size):
+    """scan.BLOCK = size inside, the low-coordinate tables rebuilt for it."""
+    with monkeypatch.context() as m:
+        m.setattr(scan, "BLOCK", size)
+        scan._low_table.cache_clear()
+        try:
+            yield
+        finally:
+            scan._low_table.cache_clear()
+
+
 def tail_and_root(monkeypatch, run):
     """run() with the linear tail allowed, then on the root path alone; with
     the r of each tail taken and the most solutions of one fibre."""
@@ -362,14 +388,15 @@ def test_tail_plan_takes_the_largest_r_with_r_forms_affine_in_the_tail(p, d, n, 
     assert same[0].tolist() == scan.rref_mod_p(forms.reshape(n, -1), p)[0].tolist()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+# shrink 2 halves BLOCK: the scans walk more, smaller blocks and chunks
+@pytest.mark.parametrize("shrink", [1, 2])
 @pytest.mark.parametrize(
     "p, d, kind",
     [(3, 11, k) for k in ("random-5", "random-9", "random-14", "perp", "generic", "special", "pure")]
     + [(3, 11, k) for k in DEFICIENT]
     + [(5, 8, k) for k in ("random-5", "generic", "pure", "plane", "products")],
 )
-def test_linear_tail_matches_the_root_path_over_fp(monkeypatch, p, d, kind, workers):
+def test_linear_tail_matches_the_root_path_over_fp(monkeypatch, p, d, kind, shrink):
     # #P^{d-2}(F_p) > BLOCK: 29524 prefixes over F_3, 19531 over F_5
     rng = random.Random(f"{p} {d} {kind}")
     if kind.startswith("random"):
@@ -378,9 +405,10 @@ def test_linear_tail_matches_the_root_path_over_fp(monkeypatch, p, d, kind, work
         forms = span_forms(p, d, kind, rng)
 
     def run():
-        return zero_locus(forms, p, d, collect=True, workers=workers), find_first_zero(forms, p, d)
+        return zero_locus(forms, p, d, collect=True), find_first_zero(forms, p, d)
 
-    tail, root, plans, most = tail_and_root(monkeypatch, run)
+    with block_size(monkeypatch, scan.BLOCK // shrink):
+        tail, root, plans, most = tail_and_root(monkeypatch, run)
     assert tail == root
     assert plans
     if kind in DEFICIENT:
@@ -389,21 +417,22 @@ def test_linear_tail_matches_the_root_path_over_fp(monkeypatch, p, d, kind, work
         assert tail[0][0] >= d
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("shrink", [1, 2])
 @pytest.mark.parametrize(
     "m, d, kind",
     [(4, 6, k) for k in ("generic", "special", "pure", "line", "plane", "products")]
     + [(2, 9, k) for k in ("generic", "pure", "plane", "products")],
 )
-def test_linear_tail_matches_the_root_path_over_f2m(monkeypatch, m, d, kind, workers):
+def test_linear_tail_matches_the_root_path_over_f2m(monkeypatch, m, d, kind, shrink):
     # F_16 at d = 6 (69905 prefixes), F_4 at d = 9 (21845)
     ext = get_ext_field(2, m)
     forms = span_forms(2, d, kind, random.Random(f"{m} {d} {kind}"))
 
     def run():
-        return ext_zero_locus(forms, ext, d, workers=workers), ext_zero_locus(forms, ext, d, find_first=True)
+        return ext_zero_locus(forms, ext, d), ext_zero_locus(forms, ext, d, find_first=True)
 
-    tail, root, plans, most = tail_and_root(monkeypatch, run)
+    with block_size(monkeypatch, scan.BLOCK // shrink):
+        tail, root, plans, most = tail_and_root(monkeypatch, run)
     assert tail == root
     assert plans
     if kind in DEFICIENT:
@@ -422,13 +451,8 @@ def test_linear_tail_splits_large_fibres_across_chunks(monkeypatch, p, m, d):
     def run():
         return zero_locus(forms, p, d, collect=True) if m == 1 else ext_zero_locus(forms, field, d)
 
-    monkeypatch.setattr(scan, "BLOCK", 8)
-    scan._low_table.cache_clear()
-    try:
+    with block_size(monkeypatch, 8):
         tail, root, plans, most = tail_and_root(monkeypatch, run)
-    finally:
-        monkeypatch.undo()
-        scan._low_table.cache_clear()
     assert plans == [d - 2] and most > 16
     assert tail == root == (len(ref), ref if m == 1 else [])
 

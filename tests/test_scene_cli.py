@@ -121,28 +121,6 @@ def test_cli_count_k0(capsys):
     assert out.strip() == "2295"
 
 
-def test_cli_count_workers_byte_identical(capsys):
-    outs = []
-    for w in ("1", "4"):
-        code, out, _ = run_cli(
-            ["count", "--field", "2", "--k", "2", "--seed", "3", "--workers", w],
-            capsys,
-        )
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-
-
-def test_cli_ext_count_workers_byte_identical(capsys):
-    outs = []
-    for w in ("1", "2"):
-        argv = ["count", "--field", "2", "--k", "5", "--ext-degree", "2", "--workers", w]
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-
-
 def test_cli_classify_pure_hyperplane(tmp_path, capsys):
     kappa = HalfSpinor.from_subsets(F5, MINUS, [((1,), F5.one)]).coords
     scene = Scene(F5, 0, (SceneObject("kappa", "section", (kappa,)),))
@@ -225,7 +203,63 @@ def test_cli_rho_inline(capsys):
     code, out, _ = run_cli(
         ["rho", "--field", "5", "--coords", a, "--coords2", b], capsys
     )
-    assert code == 0 and "vanishes: True" in out  # kappa1 is pure: secant vanishing
+    assert (code, out) == (0, "rho: 0\nvanishes: True\n")  # kappa1 is pure: secant vanishing
+
+
+@pytest.mark.parametrize("kind, vanishes", [("special", True), ("generic-2", False)])
+@pytest.mark.parametrize("seed", range(3))
+def test_cli_rho_answers_in_characteristic_2_as_classify_does(kind, vanishes, seed, tmp_path, capsys):
+    p = tmp_path / "pencil.json"
+    argv = ["make-section", "--kind", kind, "--field", "2", "--seed", str(seed), "--out", str(p)]
+    assert run_cli(argv, capsys) == (0, "", "")
+    code, out, _ = run_cli(["classify", "--scene", str(p)], capsys)
+    assert code == 0 and f"label: {'special' if vanishes else 'nonspecial'}\n" in out
+    k1, k2 = (",".join(map(str, v)) for v in parse_scene(p.read_text()).get("K").data)
+    argv = ["rho", "--field", "2", "--coords", k1, "--coords2", k2]
+    # rho itself is -b_V(mu(k1), mu(k2)) / 2: only whether it vanishes has a meaning
+    assert run_cli(argv, capsys) == (0, f"vanishes: {vanishes}\n", "")
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0 and json.loads(out) == {"vanishes": vanishes}
+
+
+FORMAT_ARGV = {
+    "member": ["--coords", PURE],
+    "gamma": ["--field", "5", "--coords", ",".join(["1"] + ["0"] * 14 + ["1"])],
+    "annihilator": ["--coords", PURE],
+    "span": ["--kind", "pi4", "--coords", PURE],
+    "rho": ["--field", "5", "--coords", PURE, "--coords2", ",".join(["0"] * 15 + ["1"])],
+    "classify": ["--scene"],
+    "f4": ["--scene"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FORMAT_ARGV))
+def test_cli_format_offers_plain_and_json_only(command, tmp_path, capsys):
+    argv = [command, *FORMAT_ARGV[command]]
+    if argv[-1] == "--scene":
+        p = tmp_path / "s.json"
+        make = ["make-section", "--kind", "special", "--field", "3", "--out", str(p)]
+        assert run_cli(make, capsys) == (0, "", "")
+        argv.append(str(p))
+    code, plain, _ = run_cli(argv, capsys)
+    assert code == 0 and plain and run_cli(argv + ["--format", "plain"], capsys) == (0, plain, "")
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0 and json.loads(out)
+    code, err = exit_code(argv + ["--format", "csv"], capsys)
+    assert code == 2 and "invalid choice: 'csv'" in err
+
+
+def test_cli_verify_format_offers_csv_and_json_only(capsys):
+    argv = ["verify", "motive", "--field", "2"]
+    code, csv, _ = run_cli(argv, capsys)
+    assert code == 0 and csv.startswith(CountReport.CSV_HEADER + "\n")
+    assert run_cli(argv + ["--format", "csv"], capsys) == (0, csv, "")
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0 and [r["actual"] for r in json.loads(out)] == [
+        int(line.split(", ")[4]) for line in csv.splitlines()[1:]
+    ]
+    code, err = exit_code(argv + ["--format", "plain"], capsys)
+    assert code == 2 and "invalid choice: 'plain'" in err
 
 
 def test_cli_verify_motive(capsys):
@@ -300,8 +334,8 @@ FLAGS = {
     "classify": {"scene", "object", "format"},
     "make-section": {"field", "seed", "kind", "out"},
     "f4": {"scene", "object", "format"},
-    "count": {"field", "seed", "k", "side", "ext-degree", "budget", "workers", "scene", "object"},
-    "verify": {"suite", "field", "seed", "ext-degree", "budget", "workers", "format"},
+    "count": {"field", "seed", "k", "side", "ext-degree", "budget", "scene", "object"},
+    "verify": {"suite", "field", "seed", "ext-degree", "budget", "format"},
 }
 
 
@@ -318,7 +352,7 @@ def test_cli_subcommands_declare_only_the_flags_they_read():
         for name, p in subparsers.choices.items()
     }
     assert declared == FLAGS
-    assert sum(map(len, declared.values())) == 56
+    assert sum(map(len, declared.values())) == 54
 
 
 def exit_code(argv, capsys):
@@ -335,8 +369,10 @@ def test_cli_rejects_removed_commands_and_flags(capsys):
     assert exit_code(["member", "--coords", coords, "--budget", "5"], capsys)[0] == 2
     argv = ["make-section", "--kind", "special", "--ext-degree", "3"]
     assert exit_code(argv, capsys)[0] == 2
-    for argv in (["verify", "blowup"], ["verify", "k6"], ["verify", "motive", "--sections", "1"]):
-        assert exit_code(argv, capsys)[0] == 2, argv
+    for argv in (["verify", "blowup"], ["verify", "k6"], ["verify", "motive", "--sections", "1"],
+                 ["count", "--workers", "2"], ["verify", "motive", "--workers", "2"]):
+        code, err = exit_code(argv, capsys)
+        assert code == 2 and "Traceback" not in err, argv
 
 
 def test_cli_scene_errors_exit_2_without_traceback(tmp_path, capsys):
@@ -384,21 +420,6 @@ def test_cli_verify_incidence_budget_refusal_exits_1(capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "exceeds budget 10" in err
-
-
-def test_cli_verify_incidence_counts_with_the_given_workers(capsys, monkeypatch):
-    argv = ["verify", "incidence", "--field", "2"]
-    single = run_cli(argv + ["--workers", "1"], capsys)
-    seen = []
-    count = counting.count_section_points
-
-    def spy(*args, **kw):
-        seen.append(kw.get("workers"))
-        return count(*args, **kw)
-
-    monkeypatch.setattr(counting, "count_section_points", spy)
-    assert run_cli(argv + ["--workers", "2"], capsys) == single
-    assert seen and set(seen) == {2}
 
 
 def test_cli_count_predicts_a_singular_pencil(tmp_path, capsys):
@@ -466,15 +487,13 @@ def test_cli_explicit_budget_equal_to_another_default_is_honoured(capsys):
 def test_cli_range_checked_flags_are_usage_errors(capsys):
     for argv in (
         ["count", "--field", "2", "--k", "1", "--ext-degree", "0"],
-        ["count", "--field", "2", "--workers", "0"],
-        ["count", "--field", "2", "--workers", "-3"],
         ["count", "--field", "2", "--budget", "-1"],
-        ["verify", "motive", "--workers", "0"],
+        ["verify", "motive", "--ext-degree", "0"],
     ):
         code, err = exit_code(argv, capsys)
         assert code == 2, argv
         assert "must be at least" in err and "Traceback" not in err, argv
-    code, err = exit_code(["count", "--workers", "two"], capsys)
+    code, err = exit_code(["count", "--budget", "two"], capsys)
     assert code == 2 and "invalid int value: 'two'" in err
 
 
