@@ -167,8 +167,15 @@ def cmd_rho(args):
             k1, k2 = (scene.get(n).data for n in names)
         else:
             spinors = [o.data for o in scene.objects if o.type == "spinor-"]
+            section = next((o for o in scene.objects if o.type == "section"), None)
+            if len(spinors) < 2 and section is not None:
+                # the scene that make-section writes: the pencil's basis rows
+                K = section.as_subspace(scene.field)
+                if K.dim != 2:
+                    raise CliError(f"rho needs a pencil (k = 2); section {section.name!r} has k = {K.dim}")
+                spinors = K.basis
             if len(spinors) < 2:
-                raise CliError("scene needs two spinor- objects (or --objects a,b)")
+                raise CliError("scene needs two spinor- objects or a section of dim 2 (or --objects a,b)")
             k1, k2 = spinors[:2]
         field = scene.field
     else:

@@ -13,6 +13,15 @@ X^v_K is counted on the same charts as X_{K'} (`_dual_section`).  Smaller
 X_K and X^v_K are counted by scanning the normalized projective
 representatives of the ambient space in lexicographic order (see `scan`).
 Both are deterministic.
+
+Over F_Q, Q = p^m, the charts, and scans that walk more than one block of
+prefixes, count on Frobenius orbits.  Every equation here has F_p
+coefficients, and x -> x^p fixes F_p and respects + and *, so applied to
+each coordinate it maps the points over a held point t (or a scanned
+prefix) one to one onto those over t^p.  So a count visits only the t
+least in their orbit, a set of at most m, and multiplies what each
+contributes by its orbit size; the sum is exact, in integers.  Over F_p
+the orbits are single points and nothing is filtered.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from .fields import PrimeField, get_ext_field
 from .linalg import Subspace, rref
 from .scan import (
     DEFAULT_COUNT_BUDGET, BudgetExceededError, affine_solve, ext_zero_locus, field_tables, fp_map,
-    in_blocks, num_projective_points, quadric_points, zero_locus,
+    frobenius_orbits, in_blocks, num_projective_points, quadric_points, zero_locus,
 )
 from .sections import perp_in_minus, perp_in_plus
 from .variety import restrict_quadric
@@ -36,16 +45,19 @@ from .variety import restrict_quadric
 # count_section_points counts X_K (X^v_K) on the charts when n = #P(K^perp)
 # (#P(K)) over F_Q exceeds CHART_CROSSOVER[m > 1] * 16 Q^4 (16 charts of at
 # most Q^4 fibres) and scans otherwise.  Measured on a 2-core Xeon with one
-# BLAS thread, before large scans took the linear tail (see scan), so the
-# scan-side times below are those of the root path; in ratios n / (16 Q^4),
-# generic K and K through a pure spinor:
-# over F_p the scan wins by 1.1x to 3.5x at ratios 25 to 68 (Q = 7 at 25,
-# 5 at 49, 2 at 64, 3 at 68) and by 3x at 4 (Q = 2), the charts by 1.6x to
-# 2.1x from 128 up (Q = 2 at 128, 7 at 175, 3 at 205, 5 at 244).  Over
-# F_{p^m}, whose scan walks log/exp tables, the scan wins by 1.4x to 8x at
-# ratios up to 21 (Q = 4, 8, 9) and the charts by 1.8x to 3.5x from 51 up
-# (Q = 9 at 51, 4 at 85); Q = 8 at 37 goes either way (0.6x to 1.45x).
-# Side X^v crosses at the same ratios (the scan 1.5x to 3.4x faster up to 68).
+# BLAS thread; in ratios n / (16 Q^4), generic K and K through a pure
+# spinor.  Over F_p, timed before large scans took the linear tail (see
+# scan), against the root path: the scan wins by 1.1x to 3.5x at ratios 25
+# to 68 (Q = 7 at 25, 5 at 49, 2 at 64, 3 at 68) and by 3x at 4 (Q = 2),
+# the charts by 1.6x to 2.1x from 128 up (Q = 2 at 128, 7 at 175, 3 at 205,
+# 5 at 244); side X^v crosses at the same ratios.  Over F_{p^m}, re-timed
+# with both paths on Frobenius orbits and the scan on its tail, both sides:
+# the scan wins by 1.3x to 4.8x at ratios up to 85 at Q = 4 and loses by
+# 1.4x at 341; it wins by 1.7x to 10x up to 293 at Q = 8, and at 2341 the
+# two are even (0.86x to 1.09x); it wins by 1.4x to 32x up to 4152 at Q = 9,
+# by 1.9x to 100x up to 273 at Q = 16 and by 4.7x to 900x up to 1017 at
+# Q = 25.  So at m > 1 the 32 below sends to the charts counts that the
+# scan makes faster, and no single ratio fits every Q.
 CHART_CROSSOVER = (100, 32)
 
 # Multiplicities n_0..n_{10-k} of the Lefschetz powers in the integral
@@ -134,6 +146,9 @@ def _chart_fibres(K: Subspace, tables):
     """The fibres of every chart in (n, 78) arrays of at most FIBRE_BLOCK
     rows: 1 where the fibre has a Pf_1234 row, then 11 rows [a coefficients,
     constant], first that of Pf_1234 + l(a) + c (or 0), then the linear ones.
+    Over F_{p^m}, m > 1, only the t least in their Frobenius orbit are
+    kept, and each row carries the orbit size in an extra column after the
+    first: (n, 79) arrays.
 
     The points of X_K whose first nonzero coordinate is c are the g_c s(A)
     (`clifford.CHARTS`) on which K's pairing rows and the coordinates before
@@ -174,8 +189,14 @@ def _chart_fibres(K: Subspace, tables):
         n = q ** len(free)
         for lo in range(0, n, FIBRE_BLOCK):
             idx = np.arange(lo, min(lo + FIBRE_BLOCK, n), dtype=np.int64)
-            t = [idx // q ** (len(free) - 1 - i) % q for i in range(len(free))] + [np.ones_like(idx)]
-            yield np.column_stack((np.full(len(idx), quadric), fp_map(tables, np.column_stack(t), g)))
+            digits = idx[:, None] // q ** np.arange(len(free) - 1, -1, -1) % q
+            t = np.column_stack((digits, np.ones_like(idx)))
+            head = []
+            if tables.m > 1:
+                # t in index order is t in lexicographic order
+                rows, size = frobenius_orbits(tables, t)
+                t, head = t[rows], [size]
+            yield np.column_stack([np.full(len(t), quadric)] + head + [fp_map(tables, t, g)])
 
 
 def count_on_charts(K: Subspace, m: int = 1) -> int:
@@ -187,18 +208,27 @@ def count_on_charts(K: Subspace, m: int = 1) -> int:
     the Pf_1234 row has Q^(6 - rank) points, or none.  On a fibre with it,
     Pf_1234 + l(a) + c is restricted to the solutions a = sol [t, 1] and
     homogenized, and its affine zeros come from `scan.quadric_points`.
+
+    Over F_Q, m > 1, a held point t and its Frobenius image t^p have fibres
+    of the same rank and count, as x = [t, 1] pmap and the equations have
+    F_p entries: only the t least in index order of their orbit are solved,
+    each contribution multiplied by the orbit size.
     """
     p = K.field.p
     tables = field_tables(p if m == 1 else get_ext_field(p, m))
     q, total = tables.q, 0
     for f in in_blocks(_chart_fibres(K, tables), FIBRE_BLOCK):
-        quadric, e = f[:, 0] == 1, f[:, 1:].reshape(len(f), 11, 7)
+        # column 1 holds the orbit sizes over F_{p^m}, m > 1
+        size = f[:, 1] if m > 1 else None
+        quadric, e = f[:, 0] == 1, f[:, 1 + (m > 1) :].reshape(len(f), 11, 7)
         rank, ok, sol = affine_solve(tables, e[:, 1:])
-        total += sum(int(n) * q ** (6 - r) for r, n in enumerate(np.bincount(rank[ok & ~quadric])))
-        on = ok & quadric
+        lin, on = ok & ~quadric, ok & quadric
+        ranks = rank[lin] if size is None else np.repeat(rank[lin], size[lin])
+        total += sum(int(n) * q ** (6 - r) for r, n in enumerate(np.bincount(ranks)))
         if on.any():
             whole, hyper = quadric_points(tables, _pfaffian_forms(tables, e[on, 0], sol[on]))
-            total += sum(((whole - hyper) // ((q - 1) * q ** rank[on])).tolist())
+            points = (whole - hyper) // ((q - 1) * q ** rank[on])
+            total += sum((points if size is None else points * size[on]).tolist())
     return total
 
 

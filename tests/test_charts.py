@@ -4,6 +4,7 @@ scans, the size rule, and the incidence identity, checked with one side of
 it counted by a scan that shares no code with the charts."""
 
 import random
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -22,7 +23,7 @@ from spinor10.counting import (
 from spinor10.fields import PrimeField, get_ext_field
 from spinor10.linalg import Subspace
 from spinor10.scan import ext_zero_locus, num_projective_points, zero_locus
-from spinor10.sections import perp_in_plus
+from spinor10.sections import make_section, perp_in_plus
 from spinor10.variety import is_pure, random_pure_witness, random_spinor, restrict_quadric
 
 
@@ -185,17 +186,19 @@ def side_params(cases):
     ]
 
 
-# Every k over F_2 and F_3 on both sides; over F_5, F_4 and F_9 the k whose
+# Every k over F_2 and F_3 on both sides; over F_5, F_4, F_8 and F_9 the k whose
 # ambient space, P(K^perp) for X or P(K) for X^v, the scan covers in about a
 # second (the other k are checked by the incidence identity).
 CELL_CASES = (
     [(q, 1, k, "X") for q in (2, 3) for k in range(16)]
     + [(5, 1, k, "X") for k in range(5, 16)]
     + [(2, 2, k, "X") for k in (4, 5, 6)]
+    + [(2, 3, k, "X") for k in range(5, 16)]
     + [(3, 2, k, "X") for k in range(8, 16)]
     + [(q, 1, k, "X^v") for q in (2, 3) for k in range(1, 16)]
     + [(5, 1, k, "X^v") for k in range(1, 12)]
     + [(2, 2, k, "X^v") for k in range(1, 13)]
+    + [(2, 3, k, "X^v") for k in range(1, 11)]
     + [(3, 2, k, "X^v") for k in range(1, 8)]
 )
 
@@ -208,6 +211,44 @@ def test_chart_counts_equal_the_scan(monkeypatch, q, m, k, side):
     for pure in (False, True) if k else (False,):
         K = random_section(field, rng, k, pure)
         assert count_section_points(K, side, m) == scan_count(K, m, side)
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2)])
+def test_chart_counts_of_smooth_sections_match_the_motive(monkeypatch, p, m):
+    """On the charts over F_4, F_8 and F_9, which visit one held point per
+    Frobenius orbit: a smooth X_K has predicted_count points, and its
+    X^v_K none (P(K) misses X^v exactly when X_K is smooth)."""
+    monkeypatch.setattr(counting, "CHART_CROSSOVER", (0, 0))
+    field = PrimeField(p)
+    kinds = [f"generic-{k}" for k in range(1, 6)] + ["special", "very-special"]
+    for seed, kind in enumerate(kinds):
+        K = make_section(kind, field, seed=seed).K
+        assert count_section_points(K, "X", m) == predicted_count(K.dim, p**m), kind
+        assert count_section_points(K, "X^v", m) == 0, kind
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_frobenius_orbits_keep_the_least_index_of_each_orbit(p, m):
+    """Over the rows t of F_Q^f in index order (base-Q digits), Q = p^m:
+    each kept row is the least index of its orbit under t -> t^p, its size
+    is the orbit's, a divisor of m, and the sizes add up to Q^f."""
+    field = get_ext_field(p, m)
+    q = p**m
+    frob = np.array([reduce(field.mul, [a] * p) for a in range(q)])
+    for f in range(5):
+        idx, place = np.arange(q**f), q ** np.arange(f - 1, -1, -1)
+        t = idx[:, None] // place % q
+        rows, sizes = scan.frobenius_orbits(scan.field_tables(field), t)
+        images, y = [], t
+        for _ in range(m):
+            images.append(y @ place)
+            y = frob[y]
+        images = np.array(images).T
+        assert (images[:, 0] == idx).all() and (y == t).all()
+        least = images.min(axis=1) == idx
+        assert rows.tolist() == np.flatnonzero(least).tolist()
+        assert sizes.tolist() == [len(set(orbit)) for orbit in images[rows].tolist()]
+        assert all(m % s == 0 for s in sizes.tolist()) and sizes.sum() == q**f
 
 
 @pytest.mark.parametrize("q, k, charts, side", side_params([

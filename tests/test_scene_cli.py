@@ -222,6 +222,30 @@ def test_cli_rho_answers_in_characteristic_2_as_classify_does(kind, vanishes, se
     assert code == 0 and json.loads(out) == {"vanishes": vanishes}
 
 
+@pytest.mark.parametrize("kind, vanishes", [("special", True), ("generic-2", False)])
+@pytest.mark.parametrize("q", ["2", "3"])
+def test_cli_rho_reads_the_pencil_that_make_section_writes(q, kind, vanishes, tmp_path, capsys):
+    p = tmp_path / "s.json"
+    argv = ["make-section", "--kind", kind, "--field", q, "--out", str(p)]
+    assert run_cli(argv, capsys) == (0, "", "")
+    code, out, _ = run_cli(["rho", "--scene", str(p), "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["vanishes"] is vanishes
+    # the same pencil given by its basis rows
+    k1, k2 = (",".join(map(str, v)) for v in parse_scene(p.read_text()).get("K").data)
+    code, inline, _ = run_cli(["rho", "--field", q, "--coords", k1, "--coords2", k2, "--format", "json"], capsys)
+    assert (code, inline) == (0, out)
+
+
+@pytest.mark.parametrize("kind, k", [("generic-1", 1), ("very-special", 3)])
+def test_cli_rho_refuses_a_section_that_is_not_a_pencil(kind, k, tmp_path, capsys):
+    p = tmp_path / "s.json"
+    assert run_cli(["make-section", "--kind", kind, "--field", "3", "--out", str(p)], capsys)[0] == 0
+    code, out, err = run_cli(["rho", "--scene", str(p)], capsys)
+    assert (code, out) == (2, "") and err.count("error:") == 1
+    assert "rho needs a pencil (k = 2)" in err and f"has k = {k}" in err
+    assert "Traceback" not in err
+
+
 FORMAT_ARGV = {
     "member": ["--coords", PURE],
     "gamma": ["--field", "5", "--coords", ",".join(["1"] + ["0"] * 14 + ["1"])],
