@@ -169,11 +169,14 @@ def cmd_rho(args):
             spinors = [o.data for o in scene.objects if o.type == "spinor-"]
             section = next((o for o in scene.objects if o.type == "section"), None)
             if len(spinors) < 2 and section is not None:
-                # the scene that make-section writes: the pencil's basis rows
+                # the scene that make-section writes: the pencil's stored
+                # rows (rho is invariant only up to det^2 under a change of
+                # basis), or its reduced basis when more than two are stored
                 K = section.as_subspace(scene.field)
                 if K.dim != 2:
                     raise CliError(f"rho needs a pencil (k = 2); section {section.name!r} has k = {K.dim}")
-                spinors = K.basis
+                rows = [r for r in section.data if any(r)]
+                spinors = rows if len(rows) == 2 else K.basis
             if len(spinors) < 2:
                 raise CliError("scene needs two spinor- objects or a section of dim 2 (or --objects a,b)")
             k1, k2 = spinors[:2]

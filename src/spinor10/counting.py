@@ -14,14 +14,13 @@ X_K and X^v_K are counted by scanning the normalized projective
 representatives of the ambient space in lexicographic order (see `scan`).
 Both are deterministic.
 
-Over F_Q, Q = p^m, the charts, and scans that walk more than one block of
-prefixes, count on Frobenius orbits.  Every equation here has F_p
-coefficients, and x -> x^p fixes F_p and respects + and *, so applied to
-each coordinate it maps the points over a held point t (or a scanned
-prefix) one to one onto those over t^p.  So a count visits only the t
-least in their orbit, a set of at most m, and multiplies what each
-contributes by its orbit size; the sum is exact, in integers.  Over F_p
-the orbits are single points and nothing is filtered.
+Over F_Q, Q = p^m, the charts count on Frobenius orbits.  Every equation
+here has F_p coefficients, and x -> x^p fixes F_p and respects + and *, so
+applied to each coordinate it maps the points over a held point t one to
+one onto those over t^p.  So a chart count visits only the t least in
+their orbit, a set of at most m, and multiplies what each contributes by
+its orbit size; the sum is exact, in integers.  Over F_p the orbits are
+single points and nothing is filtered.  Scans visit every point.
 """
 
 from __future__ import annotations
@@ -51,13 +50,13 @@ from .variety import restrict_quadric
 # to 68 (Q = 7 at 25, 5 at 49, 2 at 64, 3 at 68) and by 3x at 4 (Q = 2),
 # the charts by 1.6x to 2.1x from 128 up (Q = 2 at 128, 7 at 175, 3 at 205,
 # 5 at 244); side X^v crosses at the same ratios.  Over F_{p^m}, re-timed
-# with both paths on Frobenius orbits and the scan on its tail, both sides:
-# the scan wins by 1.3x to 4.8x at ratios up to 85 at Q = 4 and loses by
-# 1.4x at 341; it wins by 1.7x to 10x up to 293 at Q = 8, and at 2341 the
-# two are even (0.86x to 1.09x); it wins by 1.4x to 32x up to 4152 at Q = 9,
-# by 1.9x to 100x up to 273 at Q = 16 and by 4.7x to 900x up to 1017 at
-# Q = 25.  So at m > 1 the 32 below sends to the charts counts that the
-# scan makes faster, and no single ratio fits every Q.
+# with the charts on Frobenius orbits and the scan on its tail, both sides:
+# the scan wins by 1.5x to 5.5x at ratios up to 85 at Q = 4 and loses by
+# 1.2x to 1.4x at 341; it wins by 1.6x to 12x up to 293 at Q = 8, and at
+# 2341 the two are even (0.94x to 1.23x); it wins by 1.4x to 22x up to 4152
+# at Q = 9, by 1.9x to 93x up to 17 at Q = 16 (at 273, 0.75x to 30x) and by
+# 2.5x to 930x up to 1017 at Q = 25.  So at m > 1 the 32 below sends to the
+# charts counts that the scan makes faster, and no single ratio fits every Q.
 CHART_CROSSOVER = (100, 32)
 
 # Multiplicities n_0..n_{10-k} of the Lefschetz powers in the integral

@@ -20,19 +20,13 @@ the forms for the largest such r.  P^{d-1} is then P^{r-1} of the tail
 solutions z of its e x r system, in (y, z) order; only those go through
 the other forms.
 
-A count over F_{p^m}, m > 1, whose path walks more than one block of
-prefixes visits one prefix per Frobenius orbit.  The forms have F_p
-coefficients, so x -> x^p on each coordinate maps the solutions over a
-prefix one to one onto those over its image, which is again a normalized
-prefix (Frobenius fixes the leading 1).  Each block keeps the prefixes least
-in lexicographic order of their orbit (`frobenius_orbits`), and every point
-found over one of them counts its orbit size.  Collect and first-hit scans
-visit every point, in order.
-
 The same field tables solve these and other batches of small affine
 systems (`affine_solve`) and count the zeros of batches of quadratic forms
 in closed form (`quadric_points`): the fibres of the chart counts in
-`counting`.
+`counting`.  Over F_{p^m} those counts visit one held point per Frobenius
+orbit (`frobenius_orbits`): the equations have F_p coefficients, so x ->
+x^p on each coordinate maps the solutions over a point one to one onto
+those over its image.  The scans here visit every point.
 """
 
 from __future__ import annotations
@@ -188,9 +182,9 @@ class _Solver:
         return t1, t2, np.zeros(len(b), dtype=bool)
 
 
-def _candidates(x, t1, t2, every, q, col):
-    """The rows of x with each root put in column col, in (row, root) order;
-    in chunks of at most 2 BLOCK rows, or one row's q candidates."""
+def _candidates(x, t1, t2, every, q):
+    """The rows of x with each root put in the last column, in (row, root)
+    order; in chunks of at most 2 BLOCK rows, or one row's q candidates."""
     bounds = [0, len(x)]
     if every.any():
         ends = np.cumsum((t1 >= 0).astype(np.int64) + (t2 >= 0) + q * every)
@@ -211,7 +205,7 @@ def _candidates(x, t1, t2, every, q, col):
             order = np.argsort(rows, kind="stable")
             rows, t = rows[order], t[order]
         y = x.take(rows, axis=0)
-        y[:, col] = t
+        y[:, -1] = t
         yield y
 
 
@@ -266,14 +260,12 @@ def _scan(field, d, forms, mode):
     of x as int64 codes, on forms it has `compile`d; `dtype(d)`, the dtype of
     the rows; `split(form, d)`, the (a, b, c) with form = a t^2 + b t + c, b
     and c being forms valued on rows whose last coordinate is 1; `roots`,
-    the arithmetic of `affine_solve` and `fp_map`, and `m` (with
-    `frobenius` when m > 1).
+    and the arithmetic of `affine_solve` and `fp_map`.
 
     A scan whose root path would walk more than one block of prefixes
     (#P^{d-2} > BLOCK) takes the linear tail of `_tail_plan` if the forms
     have one; every other scan takes the root path.  Both give the same
-    points in the same order, and a count over F_{p^m} that walks more
-    than one block visits one prefix per Frobenius orbit (`_on_orbits`).
+    points in the same order.
 
     mode "count" returns (count, []); "collect" (count, points); "first"
     (1, [first point]) or (0, []).
@@ -284,8 +276,7 @@ def _scan(field, d, forms, mode):
     # upper-triangular: x_i x_j and x_j x_i are one monomial
     forms = (np.triu(mats) + np.tril(mats, -1).swapaxes(1, 2)) % field.p
     dtype = field.dtype(d)
-    prefixes = num_projective_points(field.q, d - 1)
-    if prefixes > BLOCK:
+    if num_projective_points(field.q, d - 1) > BLOCK:
         plan = _tail_plan(forms, field.p, d)
         if plan is not None:
             return _tail_scan(field, d, dtype, forms, plan, mode)
@@ -297,15 +288,13 @@ def _scan(field, d, forms, mode):
     if d == 1 or (count and mode == "first"):
         return count, points
     a, bform, cform = field.split(forms[0], d)
-    orbits = _on_orbits(field, mode, prefixes)
 
     def survivors(x):
-        x[:, d - 1] = 1
+        x[:, -1] = 1
         b, c = field.values(x, bform), field.values(x, cform)
-        chunks = _candidates(x, *field.roots(a, b, c), field.q, d - 1)
-        return _filter(field, chunks, forms[1:], mode, d if orbits else None)
+        return _filter(field, _candidates(x, *field.roots(a, b, c), field.q), forms[1:], mode)
 
-    blocks = _prefix_blocks(field, d - 1, dtype, d, orbits)
+    blocks = projective_blocks(field.q, d - 1, dtype, d)
     return _merge(map(survivors, blocks), mode, count, points)
 
 
@@ -324,7 +313,6 @@ def _tail_scan(field, d, dtype, forms, plan, mode):
         return count, points
     linear = [field.compile(c) for c in linear]
     residual = [field.compile(c) for c in residual]
-    orbits = _on_orbits(field, mode, num_projective_points(field.q, s))
 
     def survivors(x):
         const = np.stack([field.values(x, c) for c in linear], axis=1)
@@ -334,9 +322,9 @@ def _tail_scan(field, d, dtype, forms, plan, mode):
         rank, ok, sol = affine_solve(field, system)
         sizes = np.where(ok, field.q ** (r - rank), 0)
         fibres = _fibres(field, x, s, sol[:, ::-1, r], sol[:, ::-1, r - 1 :: -1], sizes)
-        return _filter(field, fibres, residual, mode, d if orbits else None)
+        return _filter(field, fibres, residual, mode)
 
-    blocks = _prefix_blocks(field, s, dtype, d, orbits)
+    blocks = projective_blocks(field.q, s, dtype, d)
     return _merge(map(survivors, blocks), mode, count, points)
 
 
@@ -361,59 +349,12 @@ def _fibres(field, x, s, v0, kern, sizes):
             t = digits // place[at, c] % q * free[at, c]
             z[k] = field.add(z[k], field.mul(t[:, None], kern[at, :, c]))
         y = x.take(rows, axis=0)
-        y[:, s : s + r] = z
+        y[:, s:] = z
         yield y
 
 
-def _on_orbits(field, mode, prefixes):
-    """Whether a scan walks one prefix per Frobenius orbit: in count mode
-    over F_{p^m}, m > 1, when it walks more than one block of prefixes.  A
-    single block pays more for the orbit test than it saves."""
-    return mode == "count" and field.m > 1 and prefixes > BLOCK
-
-
-def frobenius_orbits(tables, x):
-    """The rows of x, an (n, c) array of F_{p^m} codes, that are least in
-    lexicographic order in their orbit under coordinatewise Frobenius
-    a -> a^p, and the size of each one's orbit, a divisor of m: (rows,
-    sizes).  x is compared with each image column by column (the first
-    nonzero sign of image - x decides, c < 63), never as one base-q
-    number, which could overflow."""
-    n, c = x.shape
-    place = 1 << np.arange(c - 1, -1, -1, dtype=np.int64)
-    keep, size = np.ones(n, dtype=bool), np.full(n, tables.m, dtype=np.int64)
-    live, y = np.arange(n), x
-    for j in range(1, tables.m):
-        # y is Frobenius^j of the live rows: neither beaten nor back to x yet
-        y = tables.frobenius[y]
-        order = np.sign(y - x[live]) @ place
-        keep[live[order < 0]] = False
-        size[live[order == 0]] = j
-        live, y = live[order > 0], y[order > 0]
-    return np.flatnonzero(keep), size[keep]
-
-
-def _prefix_blocks(field, n, dtype, d, orbits):
-    """The blocks of prefixes P^{n-1}, in d columns (`projective_blocks`).
-    With orbits, only the prefixes least in their Frobenius orbit, with the
-    orbit size in one more column, d; these are joined again into blocks of
-    at most BLOCK rows."""
-    blocks = projective_blocks(field.q, n, dtype, d + orbits)
-    if not orbits:
-        return blocks
-
-    def least(x):
-        rows, size = frobenius_orbits(field, x[:, :n])
-        x = x[rows]
-        x[:, d] = size
-        return x
-
-    return in_blocks(filter(len, map(least, blocks)), BLOCK)
-
-
-def _filter(field, chunks, forms, mode, weight):
-    """(number, chunks) of the candidate rows where every form vanishes, the
-    number adding up column `weight` of those rows when it is given; a
+def _filter(field, chunks, forms, mode):
+    """(number, chunks) of the candidate rows where every form vanishes; a
     first-hit scan stops at the first chunk with a hit."""
     n, found = 0, []
     for y in chunks:
@@ -421,7 +362,7 @@ def _filter(field, chunks, forms, mode, weight):
             if not len(y):
                 break
             y = y.compress(field.values(y, form) == 0, axis=0)
-        n += len(y) if weight is None else int(y[:, weight].sum())
+        n += len(y)
         if mode != "count" and len(y):
             found.append(y)
             if mode == "first":
@@ -595,6 +536,27 @@ def ext_zero_locus(forms, ext, d: int, *, find_first: bool = False):
 def field_tables(field):
     """The code tables of F_p (field the prime p) or of an ExtField."""
     return _prime_tables(field) if isinstance(field, int) else _tables_for(field)
+
+
+def frobenius_orbits(tables, x):
+    """The rows of x, an (n, c) array of F_{p^m} codes, that are least in
+    lexicographic order in their orbit under coordinatewise Frobenius
+    a -> a^p, and the size of each one's orbit, a divisor of m: (rows,
+    sizes).  x is compared with each image column by column (the first
+    nonzero sign of image - x decides, c < 63), never as one base-q
+    number, which could overflow."""
+    n, c = x.shape
+    place = 1 << np.arange(c - 1, -1, -1, dtype=np.int64)
+    keep, size = np.ones(n, dtype=bool), np.full(n, tables.m, dtype=np.int64)
+    live, y = np.arange(n), x
+    for j in range(1, tables.m):
+        # y is Frobenius^j of the live rows: neither beaten nor back to x yet
+        y = tables.frobenius[y]
+        order = np.sign(y - x[live]) @ place
+        keep[live[order < 0]] = False
+        size[live[order == 0]] = j
+        live, y = live[order > 0], y[order > 0]
+    return np.flatnonzero(keep), size[keep]
 
 
 def fp_map(tables, v, a):

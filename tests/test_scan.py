@@ -20,7 +20,6 @@ from spinor10.sections import make_section, smoothness_scan
 from spinor10.variety import (
     is_pure,
     mu,
-    phi_v,
     random_pure_witness,
     random_spinor,
     restrict_quadric,
@@ -477,60 +476,3 @@ def test_k6_profile_scan_over_f16_takes_the_tail_and_one_block_scans_do_not(monk
     assert taken == [(16, 6, 3)]  # 273 prefixes of P^2(F_16)
     monkeypatch.setattr(scan, "_tail_plan", lambda *args: None)
     assert [count_section_points(K, "X^v", m) for m in (1, 2, 3, 4)] == small + [big]
-
-
-# --- Frobenius orbits ---------------------------------------------------------
-
-
-def s8v_forms():
-    """The ten mu of S- restricted to S8_v, v = e_1, over F_2: a rank-1
-    system (one quadric in 8 coordinates), so no linear tail."""
-    field = PrimeField(2)
-    space = phi_v(field, (1,) + (0,) * 9, MINUS).space
-    return [restrict_quadric(field, c, space.basis) for c in MU_INT[MINUS]]
-
-
-# (random forms: number and seed, or None for S8_v; m, d, BLOCK, whether
-# the tail is taken, and the first hit as pinned before count scans walked
-# orbits); each walks more than one block of prefixes over F_4 or F_8
-ORBIT_CASES = {
-    "s8v-f4": (None, 2, 8, 1024, False, (0,) * 7 + (1,)),
-    "random-8-f4": ((8, 2), 2, 9, 256, True, (1, 2, 0, 1, 3, 2, 1, 1, 3)),
-    "random-7-f4": ((7, 2), 2, 9, 256, True, (0, 0, 1, 2, 2, 3, 3, 3, 2)),
-    "random-5-f8": ((5, 2), 3, 7, 64, True, (0, 0, 1, 0, 1, 1, 0)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
-def test_multi_block_counts_walk_frobenius_orbits(monkeypatch, case):
-    """A count visits one prefix per Frobenius orbit and agrees with the
-    collect-mode scan, which visits every point; first hits are unchanged."""
-    random_spec, m, d, block, tail, first = ORBIT_CASES[case]
-    if random_spec is None:
-        forms = s8v_forms()
-    else:
-        n, seed = random_spec
-        forms = random_forms(random.Random(f"orbits {m} {d} {n} {seed}"), 2, d, n)
-    tables = scan._tables_for(get_ext_field(2, m))
-    orbits, tails = [], []
-    frobenius_orbits, tail_scan = scan.frobenius_orbits, scan._tail_scan
-
-    def spy_orbits(tables, x):
-        orbits.append(len(x))
-        return frobenius_orbits(tables, x)
-
-    def spy_tail(*args):
-        tails.append(args[4][0])
-        return tail_scan(*args)
-
-    monkeypatch.setattr(scan, "frobenius_orbits", spy_orbits)
-    monkeypatch.setattr(scan, "_tail_scan", spy_tail)
-    with block_size(monkeypatch, block):
-        count, _ = ext_zero_locus(forms, tables.ext, d)
-        walked = sum(orbits)
-        assert len(orbits) > 1 and bool(tails) == tail
-        n, points = scan._scan(tables, d, forms, "collect")
-        assert sum(orbits) == walked
-        assert count == n == len(points) > 0
-        assert ext_zero_locus(forms, tables.ext, d, find_first=True) == (1, [first])
-        assert points[0] == first and sum(orbits) == walked

@@ -236,6 +236,23 @@ def test_cli_rho_reads_the_pencil_that_make_section_writes(q, kind, vanishes, tm
     assert (code, inline) == (0, out)
 
 
+def test_cli_rho_of_a_section_uses_its_stored_rows(tmp_path, capsys):
+    """rho changes by det^2 under a change of basis, so a section stored in
+    rows that are not its reduced basis gives rho of those rows."""
+    from spinor10.gamma import rho
+    from spinor10.sections import make_section
+
+    basis = make_section("generic-2", F5).K.basis
+    rows = [[2 * a % 5 for a in basis[0]], [(a + b) % 5 for a, b in zip(*basis)]]  # det 2
+    p = tmp_path / "s.json"
+    p.write_text(emit_scene(Scene(F5, 0, (SceneObject("K", "section", tuple(map(tuple, rows))),))))
+    code, out, _ = run_cli(["rho", "--scene", str(p), "--format", "json"], capsys)
+    k1, k2 = (",".join(map(str, r)) for r in rows)
+    inline = run_cli(["rho", "--field", "5", "--coords", k1, "--coords2", k2, "--format", "json"], capsys)
+    assert code == 0 and inline == (0, out, "")
+    assert json.loads(out)["rho"] == str(rho(F5, *rows).value) != str(rho(F5, *basis).value)
+
+
 @pytest.mark.parametrize("kind, k", [("generic-1", 1), ("very-special", 3)])
 def test_cli_rho_refuses_a_section_that_is_not_a_pencil(kind, k, tmp_path, capsys):
     p = tmp_path / "s.json"
