@@ -298,6 +298,3 @@ class HalfSpinor:
         for subset, c in subsets_coeffs:
             s[SUBSET_INDEX[half][tuple(sorted(subset))]] = c
         return cls(half, tuple(s))
-
-    def is_zero(self, field):
-        return all(c == field.zero for c in self.coords)

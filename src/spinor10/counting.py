@@ -45,13 +45,18 @@ from .variety import restrict_quadric
 # (#P(K)) over F_Q exceeds CHART_CROSSOVER[m > 1] * 16 Q^4 (16 charts of at
 # most Q^4 fibres) and scans otherwise.  Measured on a 2-core Xeon with one
 # BLAS thread; in ratios n / (16 Q^4), generic K and K through a pure
-# spinor.  Over F_p, timed before large scans took the linear tail (see
-# scan), against the root path: the scan wins by 1.1x to 3.5x at ratios 25
-# to 68 (Q = 7 at 25, 5 at 49, 2 at 64, 3 at 68) and by 3x at 4 (Q = 2),
-# the charts by 1.6x to 2.1x from 128 up (Q = 2 at 128, 7 at 175, 3 at 205,
-# 5 at 244); side X^v crosses at the same ratios.  Over F_{p^m}, re-timed
-# with the charts on Frobenius orbits and the scan on its tail, both sides:
-# the scan wins by 1.5x to 5.5x at ratios up to 85 at Q = 4 and loses by
+# spinor.  Over F_p, re-timed with the residue-table arithmetic (see
+# scan.PrimeTables) and the scan on its tail, both sides: at Q = 2 the scan
+# wins by 1.4x to 3.8x at ratios 4 to 32, the two are within 1.4x at 64,
+# and the charts win by 1.8x to 3x at 128 and 256; at Q = 3 the scan wins
+# by 1.5x to 2.2x at 23 and 68, the two are even at 205 (charts / scan 0.8
+# to 1.1) and the charts win by 2.1x to 2.6x at 615; at Q = 5 and 7 the
+# scan wins at every ratio timed, by 1.1x to 1.7x at 1221 (Q = 5), 3.5x to
+# 4.1x at 1226 (Q = 7) and 4x to 15x at 25 to 244.  So over F_p the 100
+# below sends to the charts counts at Q = 5 and 7 that the scan makes
+# faster.  Over F_{p^m}, re-timed with the charts on Frobenius orbits and
+# the scan on its tail, both sides: the scan wins by 1.5x to 5.5x at
+# ratios up to 85 at Q = 4 and loses by
 # 1.2x to 1.4x at 341; it wins by 1.6x to 12x up to 293 at Q = 8, and at
 # 2341 the two are even (0.94x to 1.23x); it wins by 1.4x to 22x up to 4152
 # at Q = 9, by 1.9x to 93x up to 17 at Q = 16 (at 273, 0.75x to 30x) and by

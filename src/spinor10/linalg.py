@@ -210,24 +210,3 @@ class SymBilinearForm:
 
     def __repr__(self):
         return f"SymBilinearForm(dim {self.ambient_dim})"
-
-
-def orth_complement(a: Subspace, f: SymBilinearForm) -> Subspace:
-    if f.ambient_dim != a.ambient_dim:
-        raise ValueError("ambient mismatch")
-    if a.dim == 0:
-        return Subspace.full(a.field, a.ambient_dim)
-    constraints = tuple(mat_vec(a.field, f.gram, row) for row in a.basis)
-    return Subspace(a.field, a.ambient_dim, kernel_basis(a.field, constraints))
-
-
-def restrict_form(f: SymBilinearForm, a: Subspace):
-    """Gram of f on the echelon basis of a.  Returns (form, corank)."""
-    if f.ambient_dim != a.ambient_dim:
-        raise ValueError("ambient mismatch")
-    field = a.field
-    gram = tuple(
-        tuple(f.apply(u, v) for v in a.basis) for u in a.basis
-    )
-    g = SymBilinearForm(field, gram)
-    return g, g.corank()

@@ -383,19 +383,37 @@ def _merge(results, mode, count, points):
     return count, points
 
 
+# PrimeTables reduces a product or sum of two codes, which lies below p^2, by
+# one lookup in arange(p^2) % p while p^2 <= RESIDUE_TABLE_MAX (p <= 251).
+# Measured on a 2-core Xeon, on (600, 10, 6) int64 arrays: a lookup takes
+# 37-41 us up to 2^16 entries (512 KiB), int64 % 139-317 us.  Past that the
+# table outgrows the cache: at 2^18 entries (p = 509) a lookup takes 75 us,
+# at 2^24 (p = 4093) 117 us, and that table holds 134 MB and takes 100 ms to
+# build; near p = 2^16 it could not be held at all.  So larger p keep %.
+RESIDUE_TABLE_MAX = 1 << 16
+
+
 class PrimeTables(_Solver):
     """F_p arithmetic on int64 codes; forms are float (d, d) matrices c with
-    values sum((x @ c) * x) mod p, exact in the dtype of `dtype`."""
+    values sum((x @ c) * x) mod p, exact in the dtype of `dtype`.  For
+    p^2 <= RESIDUE_TABLE_MAX, mul and add reduce by one lookup in a residue
+    table built on first use; for larger p, by int64 %."""
 
     def __init__(self, p):
         self.q = self.p = p
         self.m = 1
+        self.lookup = p * p <= RESIDUE_TABLE_MAX
+
+    @cached_property
+    def residue(self):
+        """a mod p for each 0 <= a < p^2."""
+        return np.arange(self.p * self.p, dtype=np.int64) % self.p
 
     def mul(self, a, b):
-        return a * b % self.p
+        return self.residue.take(a * b) if self.lookup else a * b % self.p
 
     def add(self, a, b):
-        return (a + b) % self.p
+        return self.residue.take(a + b) if self.lookup else (a + b) % self.p
 
     def values(self, x, c):
         """x^T c x on each row, or x . c for a vector c (a linear form)."""

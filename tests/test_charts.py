@@ -131,7 +131,7 @@ def test_affine_solve_matches_enumeration(p, m):
                 assert sorted(map(tuple, got.T)) == sorted(want * q**r)
 
 
-QUADRIC_FIELDS = [(2, 1, 6), (3, 1, 5), (5, 1, 4), (7, 1, 4), (2, 2, 5), (2, 3, 4), (3, 2, 4), (5, 2, 3)]
+QUADRIC_FIELDS = [(2, 1, 6), (3, 1, 5), (5, 1, 4), (7, 1, 4), (2, 2, 5), (2, 3, 4), (3, 2, 4), (5, 2, 3), (257, 1, 2)]
 
 
 @pytest.mark.parametrize("p, m, dmax", QUADRIC_FIELDS)

@@ -15,8 +15,6 @@ from spinor10.linalg import (
     kernel_basis,
     mat,
     mat_vec,
-    orth_complement,
-    restrict_form,
     rref,
 )
 from spinor10.scan import ExtTables
@@ -136,50 +134,6 @@ def test_generic_5dim_pairs_in_8_space_meet_in_2():
         if a.dim == 5 and b.dim == 5 and a.intersect(b).dim == 2:
             hits += 1
     assert hits >= 18  # generic behaviour dominates
-
-
-def hyperbolic_form(field, n):
-    g = [[field.zero] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        g[i][n + i] = field.one
-        g[n + i][i] = field.one
-    return SymBilinearForm(field, g)
-
-
-def test_orth_complement_trivial():
-    f = hyperbolic_form(F5, 2)
-    zero = Subspace(F5, 4)
-    assert orth_complement(zero, f) == Subspace.full(F5, 4)
-
-
-def test_orth_complement_isotropic_line():
-    f = hyperbolic_form(F5, 1)
-    e = Subspace(F5, 2, [[1, 0]])
-    perp = orth_complement(e, f)
-    assert perp == e  # b(e, e) = 0 forces e inside its own perp
-
-
-def test_orth_complement_involution():
-    rng = random.Random(11)
-    for _ in range(200):
-        field = FIELDS[rng.randrange(4)]
-        n = rng.randint(1, 3)
-        f = hyperbolic_form(field, n)
-        a = Subspace(field, 2 * n, random_matrix(field, rng, rng.randint(0, 2 * n), 2 * n))
-        assert orth_complement(orth_complement(a, f), f) == a
-        assert orth_complement(a, f).dim == 2 * n - a.dim
-
-
-def test_restrict_form():
-    f = hyperbolic_form(F5, 2)  # coords e1 e2 f1 f2
-    iso = Subspace(F5, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    g, corank = restrict_form(f, iso)
-    assert corank == 2 and g.rank() == 0
-    full, corank = restrict_form(f, Subspace.full(F5, 4))
-    assert full.gram == f.gram and corank == 0
-    plane = Subspace(F5, 4, [[1, 0, 0, 0], [0, 0, 1, 0]])  # <e1, f1>
-    g, corank = restrict_form(f, plane)
-    assert corank == 0 and g.gram == ((0, 1), (1, 0))
 
 
 def test_sym_form_requires_symmetry():

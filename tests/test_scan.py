@@ -47,6 +47,27 @@ def random_forms(rng, q, d, n):
     return [[[rng.randrange(-q, q) for _ in range(d)] for _ in range(d)] for _ in range(n)]
 
 
+@pytest.mark.parametrize("p, pairs", [(2, None), (3, None), (5, None), (251, None), (257, 4000), (65521, 4000)])
+def test_prime_tables_match_scalar_arithmetic(p, pairs):
+    """mul, add, neg and inv on codes agree with PrimeField on every pair of
+    codes, or on random pairs; p <= 251 reduces by the residue table, larger
+    p by %; the table is built on first use."""
+    field, tables = PrimeField(p), scan.PrimeTables(p)
+    assert tables.lookup == (p * p <= scan.RESIDUE_TABLE_MAX) == (p <= 251)
+    if pairs is None:
+        a, b = (x.ravel() for x in np.indices((p, p)))
+    else:
+        a, b = np.random.default_rng(p).integers(0, p, size=(2, pairs))
+    assert "residue" not in vars(tables)
+    assert tables.mul(a, b).tolist() == [field.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert tables.add(a, b).tolist() == [field.add(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert tables.neg(a).tolist() == [field.neg(x) for x in a.tolist()]
+    nonzero = a[a != 0]
+    assert tables.inv[nonzero].tolist() == [field.inv(x) for x in nonzero.tolist()]
+    assert tables.inv[0] == 0
+    assert ("residue" in vars(tables)) == tables.lookup
+
+
 @pytest.mark.parametrize("p", [257, 1021, 4093, 65521])
 def test_conic_has_p_plus_one_points(p):
     conic = [[0, 0, 1], [0, p - 1, 0], [0, 0, 0]]  # x0 x2 - x1^2
@@ -394,10 +415,11 @@ def test_tail_plan_takes_the_largest_r_with_r_forms_affine_in_the_tail(p, d, n, 
     "p, d, kind",
     [(3, 11, k) for k in ("random-5", "random-9", "random-14", "perp", "generic", "special", "pure")]
     + [(3, 11, k) for k in DEFICIENT]
-    + [(5, 8, k) for k in ("random-5", "generic", "pure", "plane", "products")],
+    + [(5, 8, k) for k in ("random-5", "generic", "pure", "plane", "products")]
+    + [(257, 4, "random-5")],
 )
 def test_linear_tail_matches_the_root_path_over_fp(monkeypatch, p, d, kind, shrink):
-    # #P^{d-2}(F_p) > BLOCK: 29524 prefixes over F_3, 19531 over F_5
+    # #P^{d-2}(F_p) > BLOCK: 29524 prefixes over F_3, 19531 over F_5, 66307 over F_257
     rng = random.Random(f"{p} {d} {kind}")
     if kind.startswith("random"):
         forms = random_forms(rng, p, d, int(kind.split("-")[1]))
