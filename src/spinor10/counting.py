@@ -279,7 +279,7 @@ def count_section_points(
         raise BudgetExceededError(f"{what} (q={q}, m={m}, d={d}) exceeds budget {budget}")
     if on_charts:
         return count_on_charts(K if side == "X" else _dual_section(K), m)
-    forms = [restrict_quadric(field, c, amb.basis) for c in quadrics]
+    forms = restrict_quadric(field, quadrics, amb.basis)
     if m == 1:
         count, _ = zero_locus(forms, q, d)
         return count

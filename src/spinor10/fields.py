@@ -54,6 +54,14 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
+    def scale(self, s, xs):
+        """[s x for x in xs]: with sub_scaled, the row operations of rref."""
+        return [self.mul(s, x) for x in xs]
+
+    def sub_scaled(self, xs, f, ys):
+        """[x - f y for x, y in zip(xs, ys)]."""
+        return [self.sub(x, self.mul(f, y)) for x, y in zip(xs, ys)]
+
     def from_int(self, n: int):
         raise NotImplementedError
 
@@ -90,6 +98,14 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
+
+    def scale(self, s, xs):
+        p = self.p
+        return [s * x % p for x in xs]
+
+    def sub_scaled(self, xs, f, ys):
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(xs, ys)]
 
     def from_int(self, n: int):
         return n % self.p
@@ -132,6 +148,12 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
+
+    def scale(self, s, xs):
+        return [s * x for x in xs]
+
+    def sub_scaled(self, xs, f, ys):
+        return [x - f * y for x, y in zip(xs, ys)]
 
     def from_int(self, n: int):
         return Fraction(n)

@@ -97,18 +97,6 @@ class PlueckerQuadric:
     form: SymBilinearForm
     basis: tuple  # the k spinors the Pluecker coordinates refer to
 
-    def value_on_pair(self, field: Field, a_coeffs, b_coeffs):
-        """Evaluate on the decomposable a ^ b given in K-basis coefficients."""
-        w = []
-        for i, j in self.pairs:
-            w.append(
-                field.sub(
-                    field.mul(a_coeffs[i], b_coeffs[j]),
-                    field.mul(a_coeffs[j], b_coeffs[i]),
-                )
-            )
-        return self.form.apply(w, w)
-
     def is_zero(self, field: Field) -> bool:
         return all(x == field.zero for row in self.form.gram for x in row)
 

@@ -2,10 +2,13 @@
 
 Matrices are tuples of row tuples.  Subspaces canonicalize their basis to
 reduced row-echelon form on construction, so equality of subspaces is
-equality of bases.
+equality of bases.  `rref` has one body for every field, through its row
+operations; `rref_mod_p` reduces int64 arrays (Hilbert function, scan tail).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .fields import Field
 
@@ -25,26 +28,13 @@ def mat(rows):
 
 
 def identity_matrix(field: Field, n: int):
-    return tuple(
-        tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
 
 
 def transpose(m):
     if not m:
         return ()
     return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
-
-
-def mat_vec(field: Field, m, v):
-    out = []
-    for row in m:
-        acc = field.zero
-        for x, y in zip(row, v):
-            if x != field.zero and y != field.zero:
-                acc = field.add(acc, field.mul(x, y))
-        out.append(acc)
-    return tuple(out)
 
 
 def vec_dot(field: Field, u, v):
@@ -55,35 +45,62 @@ def vec_dot(field: Field, u, v):
     return acc
 
 
+def mat_vec(field: Field, m, v):
+    return tuple(vec_dot(field, row, v) for row in m)
+
+
 def rref(field: Field, m):
-    """Reduced row-echelon form.  Returns (matrix, rank, pivot columns)."""
-    rows = [list(r) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] != field.zero:
-                pivot = i
-                break
-        if pivot is None:
+    """Reduced row-echelon form.  Returns (matrix, rank, pivot columns).
+
+    Gauss-Jordan one row at a time, by the field's `scale` and `sub_scaled`:
+    each row is reduced by the pivot rows kept so far, and a nonzero rest is
+    normalized, cleared from them and kept, until the rank is the number of
+    columns.  The RREF is unique: the kept rows by pivot, then zero rows.
+    """
+    ncols = len(m[0]) if m else 0
+    zero = field.zero
+    kept = {}  # pivot column -> its row
+    for row in m:
+        for c, prow in kept.items():
+            if row[c] != zero:
+                row = field.sub_scaled(row, row[c], prow)
+        lead = next((c for c, x in enumerate(row) if x != zero), None)
+        if lead is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = field.inv(rows[r][c])
-        rows[r] = [field.mul(scale, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != field.zero:
-                f = rows[i][c]
-                rows[i] = [
-                    field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+        row = field.scale(field.inv(row[lead]), row)
+        for c, prow in kept.items():
+            if prow[lead] != zero:
+                kept[c] = field.sub_scaled(prow, prow[lead], row)
+        kept[lead] = row
+        if len(kept) == ncols:
             break
-    return mat(rows), r, tuple(pivots)
+    pivots = tuple(sorted(kept))
+    rows = [tuple(kept[c]) for c in pivots] + [(zero,) * ncols] * (len(m) - len(kept))
+    return tuple(rows), len(pivots), pivots
+
+
+def rref_mod_p(a, p):
+    """Reduced row-echelon form of an integer matrix mod p, as int64: (its
+    nonzero rows, pivot columns).  Eliminates in place on a reduced copy,
+    so entries stay below p^2; any nonzero pivot gives the same (unique)
+    result, and the largest is the cheapest to find."""
+    a = np.asarray(a, dtype=np.int64) % p
+    pivots = []
+    for j in range(a.shape[1]):
+        r = len(pivots)
+        if r == len(a):
+            break
+        i = r + int(a[r:, j].argmax())
+        if not a[i, j]:
+            continue
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        row = a[r] * pow(int(a[r, j]), -1, p) % p
+        a -= np.outer(a[:, j], row)
+        a %= p
+        a[r] = row
+        pivots.append(j)
+    return a[: len(pivots)], pivots
 
 
 def kernel_basis(field: Field, m):
@@ -109,19 +126,12 @@ class Subspace:
 
     def __init__(self, field: Field, ambient_dim: int, rows=()):
         rows = [r for r in rows if any(x != field.zero for x in r)]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise ValueError("row length does not match ambient dimension")
-        if rows:
-            red, rank, pivots = rref(field, mat(rows))
-            basis = red[:rank]
-        else:
-            basis, rank, pivots = (), 0, ()
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError("row length does not match ambient dimension")
+        red, self.dim, self.pivots = rref(field, rows) if rows else ((), 0, ())
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.dim = rank
-        self.pivots = pivots
+        self.basis = red[: self.dim]
 
     @classmethod
     def full(cls, field, n):
@@ -129,11 +139,9 @@ class Subspace:
 
     def contains(self, v) -> bool:
         field = self.field
-        v = list(v)
         for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c != field.zero:
-                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+            if v[p] != field.zero:
+                v = field.sub_scaled(v, v[p], row)
         return all(x == field.zero for x in v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -150,10 +158,7 @@ class Subspace:
         # rows of [A; B]^T kernel: coefficients (x, y) with x A = y B
         field = self.field
         stacked = tuple(
-            a + tuple(field.neg(x) for x in b)
-            for a, b in zip(
-                transpose(self.basis), transpose(other.basis)
-            )
+            a + tuple(field.neg(x) for x in b) for a, b in zip(transpose(self.basis), transpose(other.basis))
         )
         coeffs = kernel_basis(field, stacked)
         rows = []
@@ -202,8 +207,7 @@ class SymBilinearForm:
         return vec_dot(self.field, u, mat_vec(self.field, self.gram, v))
 
     def rank(self) -> int:
-        _, r, _ = rref(self.field, self.gram)
-        return r
+        return rref(self.field, self.gram)[1]
 
     def corank(self) -> int:
         return self.ambient_dim - self.rank()

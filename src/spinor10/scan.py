@@ -9,7 +9,8 @@ the root path P^{d-1} is the point e_{d-1} followed by every prefix
 (x_0, ..., x_{d-2}) of P^{d-2} extended by t = 0..q-1, in that order.  On
 a prefix the first form is a t^2 + b t + c with a constant, so its roots
 are solved for a whole block of prefixes at once, and only the (prefix,
-root) candidates, in (prefix, t) order, go through the other forms.
+root) candidates, in (prefix, t) order, go through the other forms.  A
+scan of at most BLOCK points (d > 1) filters its one block directly.
 
 A scan whose root path would walk more than one block of prefixes takes a
 linear tail instead, when the forms have one (`_tail_plan`): a quadric
@@ -34,6 +35,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
+
+from .linalg import rref_mod_p
 
 BLOCK = 1 << 14
 DEFAULT_COUNT_BUDGET = 1 << 26
@@ -209,25 +212,6 @@ def _candidates(x, t1, t2, every, q):
         yield y
 
 
-def rref_mod_p(a, p):
-    """Reduced row-echelon form of an int64 matrix mod p: (rows, pivots)."""
-    a = a % p
-    pivots = []
-    for j in range(a.shape[1]):
-        r = len(pivots)
-        if r == len(a):
-            break
-        nz = np.flatnonzero(a[r:, j])
-        if not nz.size:
-            continue
-        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        row = a[r] * pow(int(a[r, j]), -1, p) % p
-        a = (a - np.outer(a[:, j], row)) % p
-        a[r] = row
-        pivots.append(j)
-    return a[: len(pivots)], pivots
-
-
 def _tail_plan(forms, p, d):
     """The linear tail of upper-triangular (d, d) forms over F_p, or None.
 
@@ -264,8 +248,9 @@ def _scan(field, d, forms, mode):
 
     A scan whose root path would walk more than one block of prefixes
     (#P^{d-2} > BLOCK) takes the linear tail of `_tail_plan` if the forms
-    have one; every other scan takes the root path.  Both give the same
-    points in the same order.
+    have one; one of at most one block of points (#P^{d-1} <= BLOCK, d > 1)
+    filters that block directly; every other scan takes the root path.  All
+    give the same points in the same order.
 
     mode "count" returns (count, []); "collect" (count, points); "first"
     (1, [first point]) or (0, []).
@@ -281,6 +266,8 @@ def _scan(field, d, forms, mode):
         if plan is not None:
             return _tail_scan(field, d, dtype, forms, plan, mode)
     forms = [field.compile(c) for c in forms]
+    if 1 < d and num_projective_points(field.q, d) <= BLOCK:
+        return _merge([_filter(field, projective_blocks(field.q, d, dtype), forms, mode)], mode, 0, [])
     last = np.zeros((1, d), dtype=dtype)
     last[0, -1] = 1
     count = int(all(field.values(last, f)[0] == 0 for f in forms))

@@ -16,8 +16,8 @@ import numpy as np
 from .clifford import DIM_S, DIM_V, MINUS, PLUS, bV, pairing_orthogonal
 from .fields import Field, PrimeField, RationalField
 from .gamma import coords_in, gamma, mu_table, rho, rho_form
-from .linalg import Subspace, SymBilinearForm, check_invariant, mat_vec, transpose
-from .scan import find_first_zero, num_projective_points, rref_mod_p
+from .linalg import Subspace, SymBilinearForm, check_invariant, mat_vec, rref_mod_p, transpose
+from .scan import find_first_zero, num_projective_points
 from .spaces import span_pi4
 from .variety import (
     MU_INT,
@@ -79,7 +79,7 @@ class SmoothnessCertificate:
 
 
 def _restricted_dual_forms(K: Subspace):
-    return [restrict_quadric(K.field, c, K.basis) for c in MU_INT[MINUS]]
+    return restrict_quadric(K.field, MU_INT[MINUS], K.basis)
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +145,8 @@ def smoothness_scan(K: Subspace) -> SmoothnessCertificate:
     change under field extension, so c_D over F_p decides both ways:
     "certified-smooth" at the first c_D = 0, "certified-singular" if
     c_{k+1} > 0.  A first-hit scan of P^{k-1}(F_p), run when it has at most
-    DEFAULT_BUDGET points, first looks for a witness.
+    DEFAULT_BUDGET points, first looks for a witness; up to p = 11 it
+    filters one block of points directly.
 
     Over Q, rank over Q >= rank mod p: c_D = 0 at a prime of
     REDUCTION_PRIMES that keeps dim K proves X_K smooth.  c_{k+1} > 0 at

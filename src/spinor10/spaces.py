@@ -125,7 +125,7 @@ def f4_scan(K: Subspace):
         raise BudgetExceededError(f"f4 scan of {n} points (q={q}, d={d}) exceeds budget {DEFAULT_COUNT_BUDGET}")
     if d == 0:
         return []
-    forms = [restrict_quadric(field, c, cspace.basis) for c in MU_INT[MINUS]]
+    forms = restrict_quadric(field, MU_INT[MINUS], cspace.basis)
     _, pts = zero_locus(forms, q, d, collect=True)
     cols = transpose(cspace.basis)
     return [witness_from_spinor(field, mat_vec(field, cols, t), MINUS) for t in pts]

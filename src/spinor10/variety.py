@@ -6,6 +6,9 @@ with their quadratic forms Phi_v, and random isotropic generation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .clifford import (
     DIM_S,
@@ -20,7 +23,7 @@ from .clifford import (
     qV,
     v_basis,
 )
-from .fields import Field
+from .fields import Field, PrimeField, RationalField
 from .linalg import (
     Subspace, SymBilinearForm, check_invariant, identity_matrix, kernel_basis, mat, mat_vec,
     rref, transpose,
@@ -126,39 +129,39 @@ def extend_isotropic4(field: Field, u4: Subspace):
     return out[PLUS], out[MINUS]
 
 
+@lru_cache(maxsize=64)
+def _quadric_terms(quadrics, p):
+    """(n, T) arrays u, v, c of the terms c s_u s_v of n quadrics of at most
+    T terms, padded with c = 0; c reduced mod p, or Python ints for p = None."""
+    us, vs, cs = np.zeros((3, len(quadrics), max(map(len, quadrics))), dtype=np.int64)
+    for n, terms in enumerate(quadrics):
+        for t, (u, v, c) in enumerate(terms):
+            us[n, t], vs[n, t], cs[n, t] = u, v, c
+    return us, vs, cs % p if p else cs.astype(object)
+
+
 def restrict_quadric(field: Field, terms, basis_rows):
-    """Restrict an integer quadric, given as (u, v, c) terms, to the span of
-    basis_rows: t -> sum c (t.B)_u (t.B)_v.
+    """Restrict integer quadrics on S, each a tuple of (u, v, c) terms, to
+    the span of basis_rows B: t -> sum c (t.B)_u (t.B)_v.
 
-    Returns the upper-triangular coefficient matrix of the restricted
-    polynomial (valid in every characteristic): each term adds
-    c b_iu b_jv at (min(i, j), max(i, j)).
+    `terms` is one quadric, or a tuple of them (as MU_INT[half]) restricted
+    by one contraction A_n = sum c B[:, u] B[:, v]^T over the terms of each.
+    Returns one matrix, or a list: the upper-triangular coefficients of each
+    restricted polynomial, A_ij + A_ji above the diagonal and A_ii on it,
+    valid in every characteristic.  Over F_p, B and c are reduced, so with
+    at most 256 terms an entry is below 2^57, exact in int64; over Q the
+    arrays hold Fractions.
     """
-    n = len(basis_rows)
-    out = [[field.zero] * n for _ in range(n)]
-    for u, v, c in terms:
-        cu = field.from_int(c)
-        left = [(i, field.mul(cu, b[u])) for i, b in enumerate(basis_rows) if b[u] != field.zero]
-        right = [(j, b[v]) for j, b in enumerate(basis_rows) if b[v] != field.zero]
-        for i, x in left:
-            for j, y in right:
-                lo, hi = (i, j) if i <= j else (j, i)
-                out[lo][hi] = field.add(out[lo][hi], field.mul(x, y))
-    return mat(out)
-
-
-def eval_restricted(field: Field, coeff, t):
-    acc = field.zero
-    n = len(coeff)
-    for i in range(n):
-        xi = t[i]
-        if xi == field.zero:
-            continue
-        row = coeff[i]
-        for j in range(i, n):
-            if row[j] != field.zero:
-                acc = field.add(acc, field.mul(field.mul(xi, t[j]), row[j]))
-    return acc
+    if not isinstance(field, (PrimeField, RationalField)):
+        raise ValueError("restrict_quadric needs a prime field or the rationals")
+    p, k = field.char or None, len(basis_rows)  # p is None over Q
+    single = not terms or isinstance(terms[0][0], int)
+    us, vs, cs = _quadric_terms((tuple(terms),) if single else tuple(terms), p)
+    bt = np.array(basis_rows, dtype=np.int64 if p else object).reshape(k, DIM_S).T
+    a = (bt[us] * cs[:, :, None]).transpose(0, 2, 1) @ bt[vs]
+    a = (a + a.transpose(0, 2, 1) - a * np.eye(k, dtype=np.int64)) * np.triu(np.ones((k, k), dtype=np.int64))
+    out = [tuple(map(tuple, m)) for m in (a % p if p else a).tolist()]
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -180,16 +183,11 @@ def phi_v(field: Field, v, half: str) -> SpinorEightSpace:
         raise ValueError("v must be nonzero isotropic")
     vline = Subspace(field, DIM_V, [v])
     space = annihilator_kernel(field, vline, half)  # dim 8, checked there
-    restricted = [restrict_quadric(field, c, space.basis) for c in MU_INT[half]]
+    restricted = restrict_quadric(field, MU_INT[half], space.basis)
     # the ten restricted quadrics must span a rank-1 system
-    vecs = []
-    for r in restricted:
-        vecs.append(tuple(r[i][j] for i in range(8) for j in range(i, 8)))
-    _, rank, _ = rref(field, mat(vecs))
+    _, rank, _ = rref(field, [[r[i][j] for i in range(8) for j in range(i, 8)] for r in restricted])
     check_invariant(rank == 1, "restricted quadrics do not form a rank-1 system")
-    poly = next(
-        r for r in restricted if any(any(x != field.zero for x in row) for row in r)
-    )
+    poly = next(r for r in restricted if any(x != field.zero for row in r for x in row))
     form = None
     if field.char != 2:
         inv2 = field.inv(field.from_int(2))

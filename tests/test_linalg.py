@@ -16,6 +16,7 @@ from spinor10.linalg import (
     mat,
     mat_vec,
     rref,
+    rref_mod_p,
 )
 from spinor10.scan import ExtTables
 
@@ -61,6 +62,72 @@ def test_rref_dependent_rows_f5():
     red, rank, _ = rref(F5, m)
     assert rank == 1
     assert red[0] == (1, 2)
+
+
+def column_rref(field, m):
+    """Reference: Gauss-Jordan column by column, each pivot the first
+    nonzero entry at or below the current row."""
+    rows = [list(r) for r in m]
+    ncols = len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != field.zero), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = field.inv(rows[r][c])
+        rows[r] = [field.mul(scale, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != field.zero:
+                f = rows[i][c]
+                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return mat(rows), r, tuple(pivots)
+
+
+@st.composite
+def rref_inputs(draw):
+    """A field of F_2, F_3, F_5, F_65521, Q and a matrix over it: random rows,
+    with the unit rows mixed in for a tall matrix of full column rank (rref
+    stops early), and duplicate and zero rows."""
+    field = draw(st.sampled_from([F2, F3, F5, PrimeField(65521), QQ]))
+    if field.char:
+        elem = st.one_of(st.sampled_from([0, 1, field.p - 1]), st.integers(0, field.p - 1))
+    else:
+        elem = st.fractions(-3, 3, max_denominator=3)
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(elem, min_size=ncols, max_size=ncols), max_size=8))
+    if draw(st.booleans()):
+        rows += [[field.one if i == j else field.zero for j in range(ncols)] for i in range(ncols)]
+        rows += draw(st.lists(st.lists(elem, min_size=ncols, max_size=ncols), max_size=2 * ncols))
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    if draw(st.booleans()):
+        rows.append([field.zero] * ncols)
+    return field, mat(draw(st.permutations(rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rref_inputs())
+def test_rref_is_the_reduced_echelon_form_of_the_row_space(case):
+    field, m = case
+    ncols = len(m[0]) if m else 0
+    red, rank, pivots = rref(field, m)
+    assert (red, rank, pivots) == column_rref(field, m)
+    # RREF: leading 1s at increasing pivots, pivot columns cleared, zero rows last
+    assert len(red) == len(m) and all(len(r) == ncols for r in red)
+    assert list(pivots) == sorted(set(pivots)) and len(pivots) == rank
+    for i, c in enumerate(pivots):
+        assert all(x == field.zero for x in red[i][:c]) and red[i][c] == field.one
+        assert all(red[j][c] == field.zero for j in range(len(red)) if j != i)
+    assert all(x == field.zero for r in red[rank:] for x in r)
+    # the same row space: no row of either adds to the rank of the other
+    assert column_rref(field, m + red)[1] == column_rref(field, m)[1] == rank
+    if field.char and m:
+        rows, piv = rref_mod_p(np.array(m, dtype=np.int64).reshape(len(m), ncols), field.p)
+        assert (rows.tolist(), tuple(piv)) == ([list(r) for r in red[:rank]], pivots)
+        assert all(type(x) is int for r in red for x in r)
 
 
 def test_kernel_identity_and_zero():

@@ -14,7 +14,7 @@ from spinor10.clifford import DIM_S, DIM_V, MINUS, MU_INT, PLUS, bV, qV
 from spinor10.counting import count_section_points
 from spinor10.fields import PrimeField, get_ext_field
 from spinor10.gamma import mu_table
-from spinor10.linalg import Subspace
+from spinor10.linalg import Subspace, rref_mod_p
 from spinor10.scan import ext_zero_locus, find_first_zero, zero_locus
 from spinor10.sections import make_section, smoothness_scan
 from spinor10.variety import (
@@ -196,10 +196,75 @@ def test_solver_tables_are_built_on_first_use(monkeypatch):
     # P^0 needs no solving: only the log/exp tables exist afterwards
     assert ext_zero_locus([], ext, 1) == (1, [])
     assert not {"inv", "sqrt", "artin", "zech"} & vars(tables).keys()
-    # x0^2 + x0 x1 + x1^2 has no zero over F_32, an odd-degree extension of F_2
-    assert ext_zero_locus([[[1, 1], [0, 1]]], ext, 2) == (0, [])
+    # x^2 + x y + y^2 has no zero over F_32, an odd-degree extension of F_2,
+    # so it vanishes on (x2, x3) and on (x0, x1) together only at 0.
+    # P^3(F_32) has 33825 points, more than one block: the scan solves for x3
+    pair = np.triu(np.ones((2, 2), dtype=np.int64))
+    forms = [np.pad(pair, ((2, 0), (2, 0))), np.pad(pair, ((0, 2), (0, 2)))]
+    assert scan.num_projective_points(32, 4) == 33825 > scan.BLOCK
+    assert ext_zero_locus(forms, ext, 4) == (0, [])
     assert {"inv", "artin"} <= vars(tables).keys()
     assert "zech" not in vars(tables)  # characteristic 2 adds by XOR
+
+
+def one_block_cases():
+    """(q, d) for every d > 1 whose P^{d-1}(F_q) fits one block, and the
+    first d past it, for q in 2, 3, 4, 5, 9."""
+    cases = []
+    for q in (2, 3, 4, 5, 9):
+        d = 2
+        while scan.num_projective_points(q, d - 1) <= scan.BLOCK:
+            cases.append((q, d))
+            d += 1
+    return cases
+
+
+@pytest.mark.parametrize("q, d", one_block_cases())
+def test_one_block_scans_match_the_scalar_reference(q, d):
+    # two sparse forms, the first nonzero at e_{d-1}, the first point of the
+    # scan: their zeros in scan order by scalar arithmetic
+    p, m = {4: (2, 2), 9: (3, 2)}.get(q, (q, 1))
+    rng = random.Random(q * 100 + d)
+    forms = []
+    for n in range(2):
+        c = np.zeros((d, d), dtype=np.int64)
+        c[-1, -1] = n == 0
+        for _ in range(d + 1):
+            i, j = sorted(rng.sample(range(d), 2) if rng.random() < 0.7 else [rng.randrange(d)] * 2)
+            c[i, j] = rng.randrange(1, p)
+        forms.append(c)
+    field = PrimeField(p) if m == 1 else get_ext_field(p, m)
+    terms = [[(i, j, int(c[i, j])) for i, j in zip(*np.nonzero(c))] for c in forms]
+    ref = [
+        x for x in normalized_points(q, d)
+        if all(reduce(field.add, (field.mul(field.mul(x[i], x[j]), a) for i, j, a in t), 0) == 0 for t in terms)
+    ]
+    tables = scan.field_tables(p if m == 1 else field)
+    assert scan._scan(tables, d, forms, "collect") == (len(ref), ref)
+    assert scan._scan(tables, d, forms, "count") == (len(ref), [])
+    assert scan._scan(tables, d, forms, "first") == (int(bool(ref)), ref[:1])
+    if m == 1:
+        assert zero_locus(forms, p, d, collect=True) == (len(ref), ref)
+        assert find_first_zero(forms, p, d) == (ref[0] if ref else None)
+
+
+def test_one_block_scans_filter_their_block_and_solve_no_roots(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a one-block scan solved for roots")
+
+    monkeypatch.setattr(scan._Solver, "roots", refuse)
+    assert zero_locus([], 2, 14)[0] == scan.num_projective_points(2, 14) == scan.BLOCK - 1
+    assert ext_zero_locus([np.eye(5, dtype=np.int64)], get_ext_field(3, 2), 5)[0] > 0
+    with pytest.raises(AssertionError, match="solved for roots"):
+        zero_locus([], 2, 15)
+
+
+def test_empty_scan_of_p0_builds_no_low_table():
+    # set-up scans P^0 of each extension field: it needs no table of points
+    scan._low_table.cache_clear()
+    assert ext_zero_locus([], get_ext_field(2, 2), 1) == (1, [])
+    assert zero_locus([], 3, 1) == (1, None)
+    assert scan._low_table.cache_info().currsize == 0
 
 
 def test_first_hit_scan_draws_no_block_after_its_hit(monkeypatch):
@@ -405,8 +470,8 @@ def test_tail_plan_takes_the_largest_r_with_r_forms_affine_in_the_tail(p, d, n, 
     assert got == r and len(linear) >= r
     assert not linear[:, d - r :, d - r :].any()
     assert (lin.reshape(d - r, len(linear), r) == linear[:, : d - r, d - r :].transpose(1, 0, 2)).all()
-    same = scan.rref_mod_p(np.concatenate((linear, residual)).reshape(n, -1), p)
-    assert same[0].tolist() == scan.rref_mod_p(forms.reshape(n, -1), p)[0].tolist()
+    same = rref_mod_p(np.concatenate((linear, residual)).reshape(n, -1), p)
+    assert same[0].tolist() == rref_mod_p(forms.reshape(n, -1), p)[0].tolist()
 
 
 # shrink 2 halves BLOCK: the scans walk more, smaller blocks and chunks

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -14,12 +16,11 @@ from spinor10.clifford import (
     clifford_mul,
     eval_quadratic,
 )
-from spinor10.fields import PrimeField, QQ
+from spinor10.fields import PrimeField, QQ, get_ext_field
 from spinor10.linalg import Subspace, mat
 from spinor10.variety import (
     annihilator,
     annihilator_kernel,
-    eval_restricted,
     extend_isotropic4,
     f_reference,
     half_of_maximal_isotropic,
@@ -43,6 +44,13 @@ F7 = PrimeField(7)
 
 def spin(field, half, *terms):
     return HalfSpinor.from_subsets(field, half, [(t, field.one) for t in terms]).coords
+
+
+def poly_value(field, coeff, t):
+    """sum_{i <= j} coeff_ij t_i t_j for an upper-triangular coefficient matrix."""
+    n = len(coeff)
+    terms = (field.mul(field.mul(t[i], t[j]), coeff[i][j]) for i in range(n) for j in range(i, n))
+    return reduce(field.add, terms, field.zero)
 
 
 def test_mu_pure_examples():
@@ -188,7 +196,7 @@ def test_phi_v_f1_case():
         w = random_pure_witness(QQ, rng, PLUS)
         if w.annihilator.contains(v):
             t = _coords_in(sp.space, w.spinor)
-            assert eval_restricted(QQ, sp.poly, t) == QQ.zero
+            assert poly_value(QQ, sp.poly, t) == QQ.zero
 
 
 def _coords_in(space, vec):
@@ -227,7 +235,7 @@ def test_pure_spinor_on_quadric_char2():
         w = random_pure_witness(F2, rng, PLUS)
         if w.annihilator.contains(u.basis[0]) and sp.space.contains(w.spinor):
             t = _coords_in(sp.space, w.spinor)
-            assert eval_restricted(F2, sp.poly, t) == F2.zero
+            assert poly_value(F2, sp.poly, t) == F2.zero
 
 
 def test_random_maximal_isotropic_families():
@@ -257,4 +265,23 @@ def test_restrict_quadric_agrees_with_evaluation_on_the_span(field):
                 form = restrict_quadric(field, terms, rows)
                 assert len(form) == d and all(len(r) == d for r in form)
                 assert all(form[i][j] == field.zero for i in range(d) for j in range(i))
-                assert eval_restricted(field, form, t) == eval_quadratic(field, terms, s)
+                assert poly_value(field, form, t) == eval_quadratic(field, terms, s)
+
+
+@pytest.mark.parametrize("field", [F2, F3, PrimeField(65521), QQ], ids=str)
+def test_restrict_quadric_takes_all_ten_in_one_call(field):
+    rng = random.Random(9)
+    for d in (0, 1, 5, 16):
+        for half in (PLUS, MINUS):
+            rows = [random_spinor(field, rng, half) for _ in range(d)]
+            ten = restrict_quadric(field, MU_INT[half], rows)
+            assert ten == [restrict_quadric(field, terms, rows) for terms in MU_INT[half]]
+            # plain Python elements, which Field arithmetic takes
+            kind = int if field.char else Fraction
+            assert all(type(x) is kind for form in ten for row in form for x in row)
+
+
+def test_restrict_quadric_refuses_extension_fields():
+    F4 = get_ext_field(2, 2)
+    with pytest.raises(ValueError, match="prime field or the rationals"):
+        restrict_quadric(F4, MU_INT[MINUS], [[1] * DIM_S])
