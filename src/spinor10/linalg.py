@@ -28,7 +28,9 @@ def mat(rows):
 
 
 def identity_matrix(field: Field, n: int):
-    return tuple(tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n))
+    return tuple(
+        tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
+    )
 
 
 def transpose(m):
@@ -158,7 +160,10 @@ class Subspace:
         # rows of [A; B]^T kernel: coefficients (x, y) with x A = y B
         field = self.field
         stacked = tuple(
-            a + tuple(field.neg(x) for x in b) for a, b in zip(transpose(self.basis), transpose(other.basis))
+            a + tuple(field.neg(x) for x in b)
+            for a, b in zip(
+                transpose(self.basis), transpose(other.basis)
+            )
         )
         coeffs = kernel_basis(field, stacked)
         rows = []
@@ -207,7 +212,8 @@ class SymBilinearForm:
         return vec_dot(self.field, u, mat_vec(self.field, self.gram, v))
 
     def rank(self) -> int:
-        return rref(self.field, self.gram)[1]
+        _, r, _ = rref(self.field, self.gram)
+        return r
 
     def corank(self) -> int:
         return self.ambient_dim - self.rank()

@@ -145,8 +145,8 @@ def smoothness_scan(K: Subspace) -> SmoothnessCertificate:
     change under field extension, so c_D over F_p decides both ways:
     "certified-smooth" at the first c_D = 0, "certified-singular" if
     c_{k+1} > 0.  A first-hit scan of P^{k-1}(F_p), run when it has at most
-    DEFAULT_BUDGET points, first looks for a witness; up to p = 11 it
-    filters one block of points directly.
+    DEFAULT_BUDGET points, first looks for a witness; it filters the points
+    directly when P^{k-1}(F_p) has at most scan.DIRECT_SCAN_MAX of them.
 
     Over Q, rank over Q >= rank mod p: c_D = 0 at a prime of
     REDUCTION_PRIMES that keeps dim K proves X_K smooth.  c_{k+1} > 0 at

@@ -144,8 +144,9 @@ def restrict_quadric(field: Field, terms, basis_rows):
     """Restrict integer quadrics on S, each a tuple of (u, v, c) terms, to
     the span of basis_rows B: t -> sum c (t.B)_u (t.B)_v.
 
-    `terms` is one quadric, or a tuple of them (as MU_INT[half]) restricted
-    by one contraction A_n = sum c B[:, u] B[:, v]^T over the terms of each.
+    `terms` is one quadric, or a sequence of them (as MU_INT[half])
+    restricted by one contraction A_n = sum c B[:, u] B[:, v]^T over the
+    terms of each; terms may be lists or arrays of ints or numpy integers.
     Returns one matrix, or a list: the upper-triangular coefficients of each
     restricted polynomial, A_ij + A_ji above the diagonal and A_ii on it,
     valid in every characteristic.  Over F_p, B and c are reduced, so with
@@ -155,8 +156,9 @@ def restrict_quadric(field: Field, terms, basis_rows):
     if not isinstance(field, (PrimeField, RationalField)):
         raise ValueError("restrict_quadric needs a prime field or the rationals")
     p, k = field.char or None, len(basis_rows)  # p is None over Q
-    single = not terms or isinstance(terms[0][0], int)
-    us, vs, cs = _quadric_terms((tuple(terms),) if single else tuple(terms), p)
+    single = len(terms) == 0 or np.ndim(terms[0][0]) == 0  # terms[0] is (u, v, c)
+    quadrics = tuple(tuple(map(tuple, quad)) for quad in ((terms,) if single else terms))
+    us, vs, cs = _quadric_terms(quadrics, p)
     bt = np.array(basis_rows, dtype=np.int64 if p else object).reshape(k, DIM_S).T
     a = (bt[us] * cs[:, :, None]).transpose(0, 2, 1) @ bt[vs]
     a = (a + a.transpose(0, 2, 1) - a * np.eye(k, dtype=np.int64)) * np.triu(np.ones((k, k), dtype=np.int64))
@@ -185,9 +187,12 @@ def phi_v(field: Field, v, half: str) -> SpinorEightSpace:
     space = annihilator_kernel(field, vline, half)  # dim 8, checked there
     restricted = restrict_quadric(field, MU_INT[half], space.basis)
     # the ten restricted quadrics must span a rank-1 system
-    _, rank, _ = rref(field, [[r[i][j] for i in range(8) for j in range(i, 8)] for r in restricted])
+    vecs = [tuple(r[i][j] for i in range(8) for j in range(i, 8)) for r in restricted]
+    _, rank, _ = rref(field, mat(vecs))
     check_invariant(rank == 1, "restricted quadrics do not form a rank-1 system")
-    poly = next(r for r in restricted if any(x != field.zero for row in r for x in row))
+    poly = next(
+        r for r in restricted if any(any(x != field.zero for x in row) for row in r)
+    )
     form = None
     if field.char != 2:
         inv2 = field.inv(field.from_int(2))

@@ -196,42 +196,39 @@ def test_solver_tables_are_built_on_first_use(monkeypatch):
     # P^0 needs no solving: only the log/exp tables exist afterwards
     assert ext_zero_locus([], ext, 1) == (1, [])
     assert not {"inv", "sqrt", "artin", "zech"} & vars(tables).keys()
-    # x^2 + x y + y^2 has no zero over F_32, an odd-degree extension of F_2,
-    # so it vanishes on (x2, x3) and on (x0, x1) together only at 0.
-    # P^3(F_32) has 33825 points, more than one block: the scan solves for x3
-    pair = np.triu(np.ones((2, 2), dtype=np.int64))
-    forms = [np.pad(pair, ((2, 0), (2, 0))), np.pad(pair, ((0, 2), (0, 2)))]
-    assert scan.num_projective_points(32, 4) == 33825 > scan.BLOCK
-    assert ext_zero_locus(forms, ext, 4) == (0, [])
+    # x0^2 + x0 x1 + x1^2 has no zero over F_32, an odd-degree extension of F_2
+    assert ext_zero_locus([[[1, 1], [0, 1]]], ext, 2) == (0, [])
     assert {"inv", "artin"} <= vars(tables).keys()
     assert "zech" not in vars(tables)  # characteristic 2 adds by XOR
 
 
-def one_block_cases():
-    """(q, d) for every d > 1 whose P^{d-1}(F_q) fits one block, and the
-    first d past it, for q in 2, 3, 4, 5, 9."""
+def direct_scan_cases():
+    """(q, d) for every d > 1 whose P^{d-1}(F_q) has at most DIRECT_SCAN_MAX
+    points, and the first d past it, for q in 2, 3, 4, 5, 9; over F_4 and F_9
+    every scan takes the root path."""
     cases = []
     for q in (2, 3, 4, 5, 9):
         d = 2
-        while scan.num_projective_points(q, d - 1) <= scan.BLOCK:
+        while scan.num_projective_points(q, d - 1) <= scan.DIRECT_SCAN_MAX:
             cases.append((q, d))
             d += 1
     return cases
 
 
-@pytest.mark.parametrize("q, d", one_block_cases())
-def test_one_block_scans_match_the_scalar_reference(q, d):
-    # two sparse forms, the first nonzero at e_{d-1}, the first point of the
-    # scan: their zeros in scan order by scalar arithmetic
+@pytest.mark.parametrize("lead_zero", [False, True], ids=["e_last-off", "e_last-on"])
+@pytest.mark.parametrize("q, d", direct_scan_cases())
+def test_direct_scans_match_the_scalar_reference(q, d, lead_zero):
+    # two sparse forms whose zeros start at e_{d-1}, the first point of the
+    # scan, or not: their zeros in scan order by scalar arithmetic
     p, m = {4: (2, 2), 9: (3, 2)}.get(q, (q, 1))
     rng = random.Random(q * 100 + d)
     forms = []
     for n in range(2):
         c = np.zeros((d, d), dtype=np.int64)
-        c[-1, -1] = n == 0
         for _ in range(d + 1):
             i, j = sorted(rng.sample(range(d), 2) if rng.random() < 0.7 else [rng.randrange(d)] * 2)
             c[i, j] = rng.randrange(1, p)
+        c[-1, -1] = n == 0 and not lead_zero
         forms.append(c)
     field = PrimeField(p) if m == 1 else get_ext_field(p, m)
     terms = [[(i, j, int(c[i, j])) for i, j in zip(*np.nonzero(c))] for c in forms]
@@ -239,6 +236,7 @@ def test_one_block_scans_match_the_scalar_reference(q, d):
         x for x in normalized_points(q, d)
         if all(reduce(field.add, (field.mul(field.mul(x[i], x[j]), a) for i, j, a in t), 0) == 0 for t in terms)
     ]
+    assert (ref[:1] == [(0,) * (d - 1) + (1,)]) == lead_zero
     tables = scan.field_tables(p if m == 1 else field)
     assert scan._scan(tables, d, forms, "collect") == (len(ref), ref)
     assert scan._scan(tables, d, forms, "count") == (len(ref), [])
@@ -248,15 +246,18 @@ def test_one_block_scans_match_the_scalar_reference(q, d):
         assert find_first_zero(forms, p, d) == (ref[0] if ref else None)
 
 
-def test_one_block_scans_filter_their_block_and_solve_no_roots(monkeypatch):
+def test_direct_scans_filter_their_points_and_solve_no_roots(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a one-block scan solved for roots")
+        raise AssertionError("the scan solved for roots")
 
     monkeypatch.setattr(scan._Solver, "roots", refuse)
-    assert zero_locus([], 2, 14)[0] == scan.num_projective_points(2, 14) == scan.BLOCK - 1
-    assert ext_zero_locus([np.eye(5, dtype=np.int64)], get_ext_field(3, 2), 5)[0] > 0
+    assert scan.num_projective_points(2, 11) == 2047 <= scan.DIRECT_SCAN_MAX
+    assert zero_locus([], 2, 11)[0] == 2047
     with pytest.raises(AssertionError, match="solved for roots"):
-        zero_locus([], 2, 15)
+        zero_locus([], 2, 12)
+    # over F_{p^m} even a small scan takes the root path
+    with pytest.raises(AssertionError, match="solved for roots"):
+        ext_zero_locus([np.eye(3, dtype=np.int64)], get_ext_field(3, 2), 3)
 
 
 def test_empty_scan_of_p0_builds_no_low_table():

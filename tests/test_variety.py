@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from spinor10.clifford import (
@@ -279,6 +280,19 @@ def test_restrict_quadric_takes_all_ten_in_one_call(field):
             # plain Python elements, which Field arithmetic takes
             kind = int if field.char else Fraction
             assert all(type(x) is kind for form in ten for row in form for x in row)
+
+
+def test_restrict_quadric_reads_numpy_and_list_terms():
+    # one quadric with np.int64 entries or list terms, and a list of
+    # list-quadrics, restrict as the tuples do
+    rng = random.Random(10)
+    rows = [random_spinor(F3, rng, MINUS) for _ in range(4)]
+    ten = restrict_quadric(F3, MU_INT[MINUS], rows)
+    for n, terms in enumerate(MU_INT[MINUS]):
+        for same in (np.array(terms, dtype=np.int64), [list(t) for t in terms]):
+            assert restrict_quadric(F3, same, rows) == ten[n]
+            assert restrict_quadric(F3, [same], rows) == [ten[n]]
+    assert restrict_quadric(F3, [[list(t) for t in terms] for terms in MU_INT[MINUS]], rows) == ten
 
 
 def test_restrict_quadric_refuses_extension_fields():
