@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-from .clifford import MINUS, bV
+from .clifford import MINUS, MU_INT, bV
 from .fields import Field
 from .linalg import Subspace, SymBilinearForm
-from .variety import mu
+from .variety import mu, restrict_quadric
 
 
 class PureSpinorError(ValueError):
@@ -38,13 +38,11 @@ def _require_odd_char(field: Field):
 def mu_table(field: Field, basis):
     """(a, B) with a[i] = mu(k_i) and B[i, j] = mu(k_i + k_j) - a[i] - a[j]
     (i < j), so mu(sum t_i k_i) = sum t_i^2 a[i] + sum_{i<j} t_i t_j B[i, j]
-    in every characteristic."""
-    a = [mu(field, k, MINUS) for k in basis]
-    B = {}
-    for i, j in combinations(range(len(basis)), 2):
-        m = mu(field, tuple(map(field.add, basis[i], basis[j])), MINUS)
-        B[i, j] = tuple(field.sub(x, field.add(y, z)) for x, y, z in zip(m, a[i], a[j]))
-    return a, B
+    in every characteristic: the diagonal and upper entries of the ten mu
+    restricted to the span of the basis."""
+    r = restrict_quadric(field, MU_INT[MINUS], basis)
+    a = [tuple(m[i][i] for m in r) for i in range(len(basis))]
+    return a, {(i, j): tuple(m[i][j] for m in r) for i, j in combinations(range(len(basis)), 2)}
 
 
 def _halve(field: Field, v):
@@ -142,7 +140,7 @@ def coords_in(space: Subspace, vec):
         c = v[p]
         t.append(c)
         if c != field.zero:
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
+            v = field.sub_scaled(v, c, row)
     if any(x != field.zero for x in v):
         raise ValueError("vector not in subspace")
     return tuple(t)

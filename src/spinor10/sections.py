@@ -78,10 +78,6 @@ class SmoothnessCertificate:
         return self.status == "certified-smooth"
 
 
-def _restricted_dual_forms(K: Subspace):
-    return restrict_quadric(K.field, MU_INT[MINUS], K.basis)
-
-
 @lru_cache(maxsize=None)
 def _monomial_products(k, D):
     """Rows (i, index of m, index of M) for every way M = x_i * m of writing
@@ -122,7 +118,7 @@ def _hilbert_function(forms, p, k):
 
 
 def _prime_smoothness_scan(K, p):
-    forms = _restricted_dual_forms(K)
+    forms = restrict_quadric(K.field, MU_INT[MINUS], K.basis)
     if num_projective_points(p, K.dim) <= DEFAULT_BUDGET:
         pt = find_first_zero(forms, p, K.dim)
         if pt is not None:

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from spinor10.clifford import DIM_S, HalfSpinor, MINUS, PLUS, clifford_mul, pairing, v_basis
+from spinor10.clifford import DIM_S, MU_INT, HalfSpinor, MINUS, PLUS, clifford_mul, pairing, v_basis
 from spinor10.counting import count_section_points
 from spinor10.fields import PrimeField, QQ, get_ext_field
 from spinor10.gamma import r_kappa_form, rho
@@ -14,7 +14,6 @@ from spinor10.sections import (
     NonTransversalError,
     SectionK,
     _hilbert_function,
-    _restricted_dual_forms,
     classify,
     make_section,
     perp_in_minus,
@@ -24,7 +23,7 @@ from spinor10.sections import (
     w_u3,
 )
 from spinor10.spaces import _f4_constraint_space, f4_scan
-from spinor10.variety import is_pure, random_isotropic, random_pure_witness, random_spinor
+from spinor10.variety import is_pure, random_isotropic, random_pure_witness, random_spinor, restrict_quadric
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -85,7 +84,8 @@ def test_smoothness_scan_dim2_high_degree():
     for K in pencils:
         if K.dim != 2:
             continue
-        points = ext_zero_locus(_restricted_dual_forms(K), get_ext_field(K.field.p, 2), 2)[0]
+        forms = restrict_quadric(K.field, MU_INT[MINUS], K.basis)
+        points = ext_zero_locus(forms, get_ext_field(K.field.p, 2), 2)[0]
         cert = smoothness_scan(K)
         assert cert.status == ("certified-singular" if points else "certified-smooth")
         assert cert.witness is not None or cert.hilbert[-1] == points
@@ -122,7 +122,7 @@ def test_hilbert_function_matches_dense_macaulay_ranks():
                     K = Subspace(field, DIM_S, rows)
                     if K.dim == k:
                         break
-                forms = _restricted_dual_forms(K)
+                forms = restrict_quadric(K.field, MU_INT[MINUS], K.basis)
                 hilbert = _hilbert_function(forms, field.p, k)
                 top = 4 if k == 5 else k + 1
                 ref = [macaulay_hilbert(field, forms, k, D) for D in range(2, top + 1)]
@@ -161,7 +161,8 @@ def test_generic_5_sections_singular_beyond_f9_are_certified_singular(seed, poin
     cert = smoothness_scan(K)
     assert (cert.status, cert.degree, cert.hilbert[-1]) == ("certified-singular", 6, points)
     if seed == 80:
-        assert ext_zero_locus(_restricted_dual_forms(K), get_ext_field(3, 3), 5)[0] == points
+        forms = restrict_quadric(F3, MU_INT[MINUS], K.basis)
+        assert ext_zero_locus(forms, get_ext_field(3, 3), 5)[0] == points
     K = make_section("generic-5", F3, seed=seed).K
     assert K != Subspace(F3, DIM_S, SINGULAR_GENERIC_5[seed])
     assert smoothness_scan(K).status == "certified-smooth"
