@@ -11,11 +11,14 @@ even (plus) or odd (minus), sorted by (|T|, lexicographic).  For S+ this is
 The duality pairing S- x S+ -> F reads off the coefficient of e12345 in
 rev(t) ^ s (the reversal convention, under which mu vanishes on the pure
 spinors 1 and e12 and not on 1 + e1234).  Each basis vector of V acts as a
-signed partial permutation of the basis (`E_TABLE`, `F_TABLE`) and the
-pairing is a signed permutation (`PAIR_TERMS`), so the quadrics mu
-(`MU_INT`) and every orthogonal under the pairing are read off these tables.
-So are the 16 affine charts of X: the big cell s(A) = (1, a_ij, Pf_ijkl(A))
-(`PFAFFIAN_TERMS`) moved by the signed permutations g_c (`CHARTS`).
+signed partial permutation of the basis (`E_TABLE`, `F_TABLE`), so its
+action on a spinor is a table read with no field multiplication
+(`basis_images`, `basis_pullbacks`, `action_matrix`).  The pairing is the
+signed anti-diagonal b_i <-> b_{15-i} (`PAIR_TERMS`), so every orthogonal
+under it is read off the RREF of the subspace (`pairing_orthogonal`).  The
+quadrics mu (`MU_INT`) are read off these tables, and so are the 16 affine
+charts of X: the big cell s(A) = (1, a_ij, Pf_ijkl(A)) (`PFAFFIAN_TERMS`)
+moved by the signed permutations g_c (`CHARTS`).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fields import Field
-from .linalg import Subspace, check_invariant, kernel_basis, mat
+from .linalg import Subspace, check_invariant, mat, mat_vec
 
 PLUS, MINUS = "+", "-"
 
@@ -80,31 +83,52 @@ def _action_tables():
 
 
 E_TABLE, F_TABLE = _action_tables()
+# V_ACTIONS[half][n]: the table of the n-th basis vector of V, e1..e5, f1..f5
+V_ACTIONS = {half: E_TABLE[half] + F_TABLE[half] for half in (PLUS, MINUS)}
+
+
+def basis_images(field: Field, coords, half: str):
+    """e1 . s, ..., e5 . s, f1 . s, ..., f5 . s for s in S_half: each is a
+    signed partial permutation of the coordinates of s, read off its table."""
+    images = []
+    for action in V_ACTIONS[half]:
+        out = [field.zero] * DIM_S
+        for x, hit in zip(coords, action):
+            if hit and x != field.zero:
+                out[hit[0]] = x if hit[1] > 0 else field.neg(x)
+        images.append(tuple(out))
+    return images
+
+
+def basis_pullbacks(field: Field, functional, half: str):
+    """The functionals s -> functional(v . s) on S_half for v = e1..e5,
+    f1..f5, given one on the other half: the transposed table reads."""
+    zero, neg = field.zero, field.neg
+    return [
+        tuple(zero if not hit else functional[hit[0]] if hit[1] > 0 else neg(functional[hit[0]]) for hit in action)
+        for action in V_ACTIONS[half]
+    ]
+
+
+def action_matrix(field: Field, v, half: str):
+    """The matrix of s -> v . s from S_half to the other half, as 16 rows:
+    one signed add of v_n per entry of the table of each e_n or f_n with
+    v_n != 0."""
+    m = [[field.zero] * DIM_S for _ in range(DIM_S)]
+    for a, action in zip(v, V_ACTIONS[half]):
+        if a == field.zero:
+            continue
+        na = field.neg(a)
+        for i, hit in enumerate(action):
+            if hit:
+                j, sign = hit
+                m[j][i] = field.add(m[j][i], a if sign > 0 else na)
+    return m
 
 
 def clifford_mul(field: Field, v, coords, half: str):
     """Clifford action of v in V (10 coords a1..a5, b1..b5) on a half spinor."""
-    out = [field.zero] * DIM_S
-    etab, ftab = E_TABLE[half], F_TABLE[half]
-    for idx, c in enumerate(coords):
-        if c == field.zero:
-            continue
-        for i in range(5):
-            a = v[i]
-            if a != field.zero:
-                hit = etab[i][idx]
-                if hit:
-                    j, sign = hit
-                    term = field.mul(a, c)
-                    out[j] = field.add(out[j], term if sign > 0 else field.neg(term))
-            b = v[5 + i]
-            if b != field.zero:
-                hit = ftab[i][idx]
-                if hit:
-                    j, sign = hit
-                    term = field.mul(b, c)
-                    out[j] = field.add(out[j], term if sign > 0 else field.neg(term))
-    return tuple(out)
+    return mat_vec(field, action_matrix(field, v, half), coords)
 
 
 def qV(field: Field, v):
@@ -134,13 +158,6 @@ def basis_f(field: Field, i: int):
     return tuple(v)
 
 
-def v_basis(field: Field):
-    """e1..e5, f1..f5: the coordinate basis of V."""
-    return [basis_e(field, i) for i in range(1, 6)] + [
-        basis_f(field, i) for i in range(1, 6)
-    ]
-
-
 def _pairing_terms():
     """(minus index, plus index, sign) triples for <t, s> = [rev(t) ^ s]_top:
     reversing t takes d(d-1)/2 transpositions, sorting t ^ comp(t) one per
@@ -151,6 +168,7 @@ def _pairing_terms():
         comp = tuple(sorted(full - set(t)))
         flips = len(t) * (len(t) - 1) // 2 + sum(1 for a in t for b in comp if b < a)
         terms.append((ti, SUBSET_INDEX[PLUS][comp], -1 if flips % 2 else 1))
+    check_invariant(all(si == DIM_S - 1 - ti for ti, si, _ in terms), "the pairing is anti-diagonal")
     return tuple(terms)
 
 
@@ -192,10 +210,27 @@ def pairing_rows(W: Subspace, half: str):
 
 
 def pairing_orthogonal(W: Subspace, half: str) -> Subspace:
-    """{t in the other half : <t, w> = 0 for all w in W}, for W inside S_half."""
-    if W.dim == 0:
-        return Subspace.full(W.field, DIM_S)
-    return Subspace(W.field, DIM_S, kernel_basis(W.field, pairing_rows(W, half)))
+    """{t in the other half : <t, w> = 0 for all w in W}, for W inside S_half.
+
+    <t, w> = sum_i w_i u_i for u_i = sign_i t_{15-i}, the partners of i, so
+    u runs over the kernel of W's RREF: e_f - sum_r W[r][f] e_{p_r} for each
+    free column f, over pivots p_r < f.  Each t, signed to be 1 at 15 - f,
+    leads there, and no other t touches 15 - f: for f descending they are
+    the orthogonal in RREF, which the constructor only checks."""
+    field, partner, pivots = W.field, _PARTNER[half], set(W.pivots)
+    rows = []
+    for f in range(DIM_S - 1, -1, -1):
+        if f in pivots:
+            continue
+        row = [field.zero] * DIM_S
+        j, sign = partner[f]
+        row[j] = field.one
+        for w, pr in zip(W.basis, W.pivots):
+            if w[f] != field.zero:
+                jr, sr = partner[pr]
+                row[jr] = w[f] if sign * sr < 0 else field.neg(w[f])
+        rows.append(row)
+    return Subspace(field, DIM_S, rows)
 
 
 def _charts():

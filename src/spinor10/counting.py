@@ -39,7 +39,7 @@ from .scan import (
     frobenius_orbits, in_blocks, num_projective_points, quadric_points, zero_locus,
 )
 from .sections import perp_in_minus, perp_in_plus
-from .variety import restrict_quadric
+from .variety import restricted_forms
 
 # count_section_points counts X_K (X^v_K) on the charts when n = #P(K^perp)
 # (#P(K)) over F_Q exceeds CHART_CROSSOVER[m > 1] * 16 Q^4 (16 charts of at
@@ -279,7 +279,7 @@ def count_section_points(
         raise BudgetExceededError(f"{what} (q={q}, m={m}, d={d}) exceeds budget {budget}")
     if on_charts:
         return count_on_charts(K if side == "X" else _dual_section(K), m)
-    forms = restrict_quadric(field, quadrics, amb.basis)
+    forms = restricted_forms(field, quadrics, amb.basis)
     if m == 1:
         count, _ = zero_locus(forms, q, d)
         return count

@@ -10,7 +10,8 @@ the root path P^{d-1} is the point e_{d-1} followed by every prefix
 a prefix the first form is a t^2 + b t + c with a constant, so its roots
 are solved for a whole block of prefixes at once, and only the (prefix,
 root) candidates, in (prefix, t) order, go through the other forms.  A
-scan over F_p of at most DIRECT_SCAN_MAX points filters them directly.
+scan over F_p of at most DIRECT_SCAN_MAX points filters a table of all of
+them (`_point_table`), built once per (p, d, dtype) and read-only.
 
 A scan whose root path would walk more than one block of prefixes takes a
 linear tail instead, when the forms have one (`_tail_plan`): a quadric
@@ -66,6 +67,15 @@ def _low_table(q: int):
     while q ** (L + 1) <= BLOCK:
         L += 1
     return np.indices((q,) * L).reshape(L, -1).T.copy()
+
+
+@lru_cache(maxsize=None)
+def _point_table(q: int, d: int, dtype):
+    """All of P^{d-1}(F_q) in scan order, as one read-only array: the table
+    of the direct scans, which have at most DIRECT_SCAN_MAX points."""
+    table = np.concatenate(list(projective_blocks(q, d, dtype)))
+    table.flags.writeable = False
+    return table
 
 
 def projective_blocks(q: int, d: int, dtype=np.int64, width=None):
@@ -257,13 +267,14 @@ def _scan(field, d, forms, mode):
     A scan whose root path would walk more than one block of prefixes
     (#P^{d-2} > BLOCK) takes the linear tail of `_tail_plan` if the forms
     have one.  After e_{d-1}, a scan over F_p of at most DIRECT_SCAN_MAX
-    points filters them all directly; every other scan takes the root path.
+    points filters the cached table of them all (`_point_table`); every
+    other scan takes the root path.
     All give the same points in the same order.
 
     mode "count" returns (count, []); "collect" (count, points); "first"
     (1, [first point]) or (0, []).
     """
-    mats = np.array(forms, dtype=np.int64).reshape(-1, d, d)
+    mats = np.asarray(forms, dtype=np.int64).reshape(-1, d, d)
     if not len(mats):
         mats = np.zeros((1, d, d), dtype=np.int64)
     # upper-triangular: x_i x_j and x_j x_i are one monomial
@@ -281,7 +292,7 @@ def _scan(field, d, forms, mode):
     if d == 1 or (count and mode == "first"):
         return count, points
     if field.m == 1 and num_projective_points(field.q, d) <= DIRECT_SCAN_MAX:
-        return _merge([_filter(field, projective_blocks(field.q, d, dtype), forms, mode)], mode, 0, [])
+        return _merge([_filter(field, [_point_table(field.q, d, dtype)], forms, mode)], mode, 0, [])
     a, bform, cform = field.split(forms[0], d)
 
     def survivors(x):

@@ -27,7 +27,7 @@ from .variety import (
     random_isotropic,
     random_pure_witness,
     random_spinor,
-    restrict_quadric,
+    restricted_forms,
     witness_from_spinor,
 )
 
@@ -99,12 +99,14 @@ def _hilbert_function(forms, p, k):
     (two ways of writing one monomial), from the quadrics at D = 2."""
     i, j = np.triu_indices(k)
     # the relations among the columns, and each degree-D monomial over them
-    rows = np.array(forms, dtype=np.int64)[:, i, j]
+    rows = np.asarray(forms, dtype=np.int64)[:, i, j]
     head = np.eye(len(i), dtype=np.int64)
     hilbert = []
     for D in range(2, k + 2):
         red, pivots = rref_mod_p(rows, p)
-        free = np.setdiff1d(np.arange(rows.shape[1]), pivots)
+        free = np.ones(rows.shape[1], dtype=bool)
+        free[pivots] = False
+        free = np.flatnonzero(free)
         hilbert.append(len(free))
         if not len(free) or D == k + 1:
             break
@@ -118,7 +120,7 @@ def _hilbert_function(forms, p, k):
 
 
 def _prime_smoothness_scan(K, p):
-    forms = restrict_quadric(K.field, MU_INT[MINUS], K.basis)
+    forms = restricted_forms(K.field, MU_INT[MINUS], K.basis)
     if num_projective_points(p, K.dim) <= DEFAULT_BUDGET:
         pt = find_first_zero(forms, p, K.dim)
         if pt is not None:

@@ -7,15 +7,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clifford import DIM_S, DIM_V, MINUS, PLUS, clifford_mul, pairing, pairing_orthogonal, qV, v_basis
+from .clifford import DIM_S, DIM_V, MINUS, PLUS, basis_images, basis_pullbacks, pairing, pairing_rows, qV
 from .fields import Field, PrimeField
-from .linalg import Subspace, check_invariant, mat_vec, transpose
+from .linalg import Subspace, check_invariant, kernel_basis, mat_vec, transpose
 from .scan import DEFAULT_COUNT_BUDGET, BudgetExceededError, num_projective_points, zero_locus
 from .variety import (
     MU_INT,
     PureSpinorWitness,
     annihilator_kernel,
-    restrict_quadric,
+    restricted_forms,
     witness_from_spinor,
 )
 
@@ -79,9 +79,7 @@ def span_pi4(tau: PureSpinorWitness) -> Subspace:
     """
     if tau.half != MINUS:
         raise ValueError("need a minus-family pure spinor")
-    field = tau.field
-    rows = [clifford_mul(field, v, tau.spinor, MINUS) for v in v_basis(field)]
-    span = Subspace(field, DIM_S, rows)
+    span = Subspace(tau.field, DIM_S, basis_images(tau.field, tau.spinor, MINUS))
     check_invariant(span.dim == 5, "span_pi4 has dim 5")
     return span
 
@@ -100,12 +98,16 @@ def _f4_constraint_space(K: Subspace) -> Subspace:
     """{tau in S- : <kappa, v . tau> = 0 for all kappa in K, v in V}.
 
     For pure tau this is exactly the condition span_pi4(tau) subset K^perp,
-    since span_pi4(tau) = V . tau.  By the adjunction <kappa, v . tau> =
-    +-<tau, v . kappa> it is the orthogonal of V . K inside S-.
+    since span_pi4(tau) = V . tau.  It is the kernel of the 10k functionals
+    tau -> <kappa, v . tau>, v = e1..f5: the pullbacks of <kappa, .> through
+    the action tables, each a signed partial permutation of kappa.  For
+    k = 0 it is all of S-.
     """
     field = K.field
-    vk = [clifford_mul(field, v, kappa, MINUS) for kappa in K.basis for v in v_basis(field)]
-    return pairing_orthogonal(Subspace(field, DIM_S, vk), PLUS)
+    if K.dim == 0:
+        return Subspace.full(field, DIM_S)
+    rows = [row for kappa in pairing_rows(K, MINUS) for row in basis_pullbacks(field, kappa, MINUS)]
+    return Subspace(field, DIM_S, kernel_basis(field, rows))
 
 
 def f4_scan(K: Subspace):
@@ -125,7 +127,7 @@ def f4_scan(K: Subspace):
         raise BudgetExceededError(f"f4 scan of {n} points (q={q}, d={d}) exceeds budget {DEFAULT_COUNT_BUDGET}")
     if d == 0:
         return []
-    forms = restrict_quadric(field, MU_INT[MINUS], cspace.basis)
+    forms = restricted_forms(field, MU_INT[MINUS], cspace.basis)
     _, pts = zero_locus(forms, q, d, collect=True)
     cols = transpose(cspace.basis)
     return [witness_from_spinor(field, mat_vec(field, cols, t), MINUS) for t in pts]

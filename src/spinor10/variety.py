@@ -16,17 +16,16 @@ from .clifford import (
     MINUS,
     MU_INT,
     PLUS,
+    action_matrix,
     basis_f,
+    basis_images,
     bV,
-    clifford_mul,
     eval_quadratic,
     qV,
-    v_basis,
 )
 from .fields import Field, PrimeField, RationalField
 from .linalg import (
-    Subspace, SymBilinearForm, check_invariant, identity_matrix, kernel_basis, mat, mat_vec,
-    rref, transpose,
+    Subspace, SymBilinearForm, check_invariant, kernel_basis, mat, mat_vec, rref, transpose,
 )
 
 
@@ -45,9 +44,8 @@ def annihilator(field: Field, coords, half: str) -> Subspace:
     """{v in V : v . s = 0}; dim 5 iff s is pure."""
     if all(c == field.zero for c in coords):
         raise ValueError("zero spinor has no annihilator")
-    images = [clifford_mul(field, v, coords, half) for v in v_basis(field)]
-    # columns = images; kernel in V
-    m = transpose(mat(images))
+    # columns = the images of s under e1..f5; kernel in V
+    m = transpose(mat(basis_images(field, coords, half)))
     return Subspace(field, DIM_V, kernel_basis(field, m))
 
 
@@ -65,11 +63,7 @@ def annihilator_kernel(field: Field, u: Subspace, half: str) -> Subspace:
     """{s in S_half : w . s = 0 for all w in U}; dim = 2^(4 - dim U)."""
     if not 1 <= u.dim <= 5 or not is_isotropic(field, u):
         raise ValueError("U must be isotropic of dimension 1..5")
-    units = identity_matrix(field, DIM_S)
-    rows = []
-    for w in u.basis:
-        cols = [clifford_mul(field, w, b, half) for b in units]
-        rows.extend(transpose(mat(cols)))
+    rows = [row for w in u.basis for row in action_matrix(field, w, half)]
     ker = Subspace(field, DIM_S, kernel_basis(field, mat(rows)))
     # a maximal isotropic U has the spinor line in its half and 0 in the other
     holds = ker.dim == 2 ** (4 - u.dim) if u.dim <= 4 else ker.dim <= 1
@@ -141,29 +135,33 @@ def _quadric_terms(quadrics, p):
 
 
 def restrict_quadric(field: Field, terms, basis_rows):
-    """Restrict integer quadrics on S, each a tuple of (u, v, c) terms, to
-    the span of basis_rows B: t -> sum c (t.B)_u (t.B)_v.
+    """`restricted_forms` as tuples of Field elements: one matrix for one
+    quadric, or a list for a sequence of them; terms may be lists or arrays
+    of ints or numpy integers."""
+    single = len(terms) == 0 or np.ndim(terms[0][0]) == 0  # terms[0] is (u, v, c)
+    quadrics = tuple(tuple(map(tuple, quad)) for quad in ((terms,) if single else terms))
+    out = [tuple(map(tuple, m)) for m in restricted_forms(field, quadrics, basis_rows).tolist()]
+    return out[0] if single else out
 
-    `terms` is one quadric, or a sequence of them (as MU_INT[half])
-    restricted by one contraction A_n = sum c B[:, u] B[:, v]^T over the
-    terms of each; terms may be lists or arrays of ints or numpy integers.
-    Returns one matrix, or a list: the upper-triangular coefficients of each
-    restricted polynomial, A_ij + A_ji above the diagonal and A_ii on it,
+
+def restricted_forms(field: Field, quadrics, basis_rows):
+    """Integer quadrics on S, a tuple of tuples of (u, v, c) terms (as
+    MU_INT[half]), restricted to the span of basis_rows B, t -> sum c (t.B)_u
+    (t.B)_v, by one contraction A_n = sum c B[:, u] B[:, v]^T over the terms
+    of each.  Returns the (n, k, k) upper-triangular coefficients of the
+    restricted polynomials, A_ij + A_ji above the diagonal and A_ii on it,
     valid in every characteristic.  Over F_p, B and c are reduced, so with
-    at most 256 terms an entry is below 2^57, exact in int64; over Q the
-    arrays hold Fractions.
+    at most 256 terms an entry is below 2^57, exact in int64, the array the
+    scans and the Hilbert function take; over Q it holds Fractions.
     """
     if not isinstance(field, (PrimeField, RationalField)):
         raise ValueError("restrict_quadric needs a prime field or the rationals")
     p, k = field.char or None, len(basis_rows)  # p is None over Q
-    single = len(terms) == 0 or np.ndim(terms[0][0]) == 0  # terms[0] is (u, v, c)
-    quadrics = tuple(tuple(map(tuple, quad)) for quad in ((terms,) if single else terms))
     us, vs, cs = _quadric_terms(quadrics, p)
     bt = np.array(basis_rows, dtype=np.int64 if p else object).reshape(k, DIM_S).T
     a = (bt[us] * cs[:, :, None]).transpose(0, 2, 1) @ bt[vs]
     a = (a + a.transpose(0, 2, 1) - a * np.eye(k, dtype=np.int64)) * np.triu(np.ones((k, k), dtype=np.int64))
-    out = [tuple(map(tuple, m)) for m in (a % p if p else a).tolist()]
-    return out[0] if single else out
+    return a % p if p else a
 
 
 @dataclass(frozen=True)

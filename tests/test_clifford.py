@@ -1,6 +1,8 @@
 import random
 
-from spinor10.fields import PrimeField, QQ
+import pytest
+
+from spinor10.fields import PrimeField, QQ, get_ext_field
 from spinor10 import clifford as cl
 from spinor10.clifford import (
     DIM_S,
@@ -11,19 +13,25 @@ from spinor10.clifford import (
     MU_INT,
     PLUS_SUBSETS,
     SUBSET_INDEX,
+    action_matrix,
     bV,
     basis_e,
     basis_f,
+    basis_images,
+    basis_pullbacks,
     clifford_mul,
     pairing,
+    pairing_orthogonal,
+    pairing_rows,
     qV,
 )
-from spinor10.linalg import identity_matrix, mat, rref
-from spinor10.variety import is_pure, mu
+from spinor10.linalg import Subspace, identity_matrix, kernel_basis, mat, rref, transpose, vec_dot
+from spinor10.variety import is_pure, mu, random_isotropic
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F4 = get_ext_field(2, 2)
 
 
 def spin(field, half, *terms):
@@ -200,3 +208,80 @@ def test_mu_int_is_ten_four_term_quadrics():
             assert len(terms) == 4 and list(terms) == sorted(terms)
             for u, v, c in terms:
                 assert 0 <= u < v < DIM_S and type(c) is int and c in (1, -1)
+
+
+def exterior_mul(field, v, coords, half):
+    """v . s from the definition, without the tables: e_i wedges, with sign
+    (-1)^#{t in S : t < i}; f_i contracts, with sign (-1)^(position of i in S)."""
+    out = {}
+    for subset, c in zip(cl.SUBSETS[half], coords):
+        for i in range(1, 6):
+            if i in subset:
+                a, flips, target = v[4 + i], subset.index(i), tuple(t for t in subset if t != i)
+            else:
+                a, flips, target = v[i - 1], sum(t < i for t in subset), tuple(sorted(subset + (i,)))
+            term = field.mul(a, c)
+            out[target] = field.add(out.get(target, field.zero), field.neg(term) if flips % 2 else term)
+    return tuple(out.get(s, field.zero) for s in cl.SUBSETS[cl.other_half(half)])
+
+
+def test_basis_images_and_pullbacks_read_the_action_of_each_basis_vector():
+    rng = random.Random(12)
+    for field in (F2, F3, F4, QQ):
+        vs = identity_matrix(field, 10)  # e1..e5, f1..f5
+        units = identity_matrix(field, DIM_S)
+        for half in (PLUS, MINUS):
+            for _ in range(4):
+                s, functional = rand_spinor(field, rng), rand_spinor(field, rng)
+                ref = [exterior_mul(field, v, s, half) for v in vs]
+                assert basis_images(field, s, half) == ref
+                assert [clifford_mul(field, v, s, half) for v in vs] == ref
+                assert basis_pullbacks(field, functional, half) == [
+                    tuple(vec_dot(field, functional, exterior_mul(field, v, b, half)) for b in units) for v in vs
+                ]
+
+
+def test_action_matrix_rows_are_the_columns_of_the_action_on_unit_spinors():
+    rng = random.Random(13)
+    for field in (F2, F3, F5, QQ):
+        units = identity_matrix(field, DIM_S)
+        for half in (PLUS, MINUS):
+            for dim in (1, 3, 5):
+                for w in random_isotropic(field, rng, dim).basis:
+                    cols = [exterior_mul(field, w, b, half) for b in units]
+                    assert mat(action_matrix(field, w, half)) == transpose(cols)
+                    assert [clifford_mul(field, w, b, half) for b in units] == cols
+
+
+def sparse_subspace(field, rng, dim):
+    """A subspace of S of exactly the given dim, spanned by random vectors
+    with about half their coordinates zero, so pivots fall anywhere."""
+    while True:
+        rows = [[field.sample(rng) if rng.random() < 0.5 else field.zero for _ in range(DIM_S)] for _ in range(dim)]
+        W = Subspace(field, DIM_S, rows)
+        if W.dim == dim:
+            return W
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_orthogonal_read_off_the_rref_is_the_kernel_of_the_pairing_rows(monkeypatch, field):
+    rng = random.Random(14)
+    built = []
+
+    class Spy(Subspace):
+        def __init__(self, field, n, rows=()):
+            built.append([tuple(r) for r in rows])
+            super().__init__(field, n, rows)
+
+    for half in (PLUS, MINUS):
+        for dim in range(DIM_S + 1):
+            W = sparse_subspace(field, rng, dim)
+            # the reference: the kernel of the functionals <., w>
+            ref = Subspace(field, DIM_S, kernel_basis(field, pairing_rows(W, half)) if dim else identity_matrix(field, DIM_S))
+            with monkeypatch.context() as m:
+                m.setattr(cl, "Subspace", Spy)
+                perp = pairing_orthogonal(W, half)
+            assert perp == ref and perp.dim == DIM_S - dim
+            # the rows handed to the constructor are already in RREF
+            rows = built.pop()
+            assert tuple(rows) == perp.basis

@@ -204,10 +204,10 @@ def test_solver_tables_are_built_on_first_use(monkeypatch):
 
 def direct_scan_cases():
     """(q, d) for every d > 1 whose P^{d-1}(F_q) has at most DIRECT_SCAN_MAX
-    points, and the first d past it, for q in 2, 3, 4, 5, 9; over F_4 and F_9
-    every scan takes the root path."""
+    points, and the first d past it, for q in 2, 3, 4, 5, 7, 9, 11; over F_4
+    and F_9 every scan takes the root path."""
     cases = []
-    for q in (2, 3, 4, 5, 9):
+    for q in (2, 3, 4, 5, 7, 9, 11):
         d = 2
         while scan.num_projective_points(q, d - 1) <= scan.DIRECT_SCAN_MAX:
             cases.append((q, d))
@@ -263,9 +263,25 @@ def test_direct_scans_filter_their_points_and_solve_no_roots(monkeypatch):
 def test_empty_scan_of_p0_builds_no_low_table():
     # set-up scans P^0 of each extension field: it needs no table of points
     scan._low_table.cache_clear()
+    scan._point_table.cache_clear()
     assert ext_zero_locus([], get_ext_field(2, 2), 1) == (1, [])
     assert zero_locus([], 3, 1) == (1, None)
+    assert find_first_zero([], 3, 1) == (1,)
     assert scan._low_table.cache_info().currsize == 0
+    assert scan._point_table.cache_info().currsize == 0
+
+
+def test_direct_scans_share_one_read_only_point_table():
+    scan._point_table.cache_clear()
+    forms = [np.diag([1, 1, 0, 0]), np.diag([0, 0, 1, 2])]
+    ref = list(scalar_zeros(forms, 3, 4))
+    assert zero_locus(forms, 3, 4, collect=True) == (len(ref), ref)
+    assert find_first_zero(forms, 3, 4) == ref[0]
+    assert scan._point_table.cache_info()[:2] == (1, 1)  # one hit, one build
+    table = scan._point_table(3, 4, np.float32)
+    assert [tuple(map(int, row)) for row in table] == list(normalized_points(3, 4))
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 2
 
 
 def test_first_hit_scan_draws_no_block_after_its_hit(monkeypatch):
